@@ -12,15 +12,23 @@ form on the carrier as x_I * D + Q with D the degree-l form on the extra
 indices, the unique value forcing the carrier form to vanish is -Q/D.
 Since I sits at the bottom of the carrier, the collected sign on x_I * D
 is +1; the splitting is verified symbolically in the test suite.
+
+Both forms are evaluated straight from the cached partition rows of their
+shape, without building polynomials.  Each block key is spliced, not
+sorted: the block's labels from the head of I, then the rest of I, then its
+extra labels, which is ascending because the extras lie above I.  A full
+recovery pass clears the denominators of the known values once and reads a
+plain table of ints; every result is still an exact Fraction.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
 
-from .forms import FormSpec, hpf_polynomial
+from .forms import _partition_table
 from .indices import (
     DimensionMismatch,
     GoodParams,
@@ -134,39 +142,59 @@ def good_projection(v: Multivector, params: GoodParams) -> CoordinateAssignment:
     return CoordinateAssignment(window, window.p, known, params)
 
 
-def _eval_on_known(poly, known, skip) -> Fraction:
-    """Evaluate a form polynomial against a partial coordinate table.
+def _form_on_known(m: int, degree: int, known, head, tail, extra):
+    """The width-m form on head + extra, tail in every block, read off known.
 
-    Monomials holding a known-zero factor contribute nothing even when a
-    cofactor is unknown.  Unknown factors of the surviving monomials are
-    collected and reported together.
+    Rows whose first block is the whole head hold x_(head + tail) and are
+    skipped.  A known-zero factor silences its monomial even beside an
+    unknown one; unknown factors of the other monomials are reported together.
     """
-    total = Fraction(0)
+    if m % 2 and degree >= 2:  # the symmetrized sum cancels, as in forms
+        return 0
+    members = head + extra
+    split = len(head)
+    skip = tuple(range(1, split + 1))
+    keys = {}
+    total = 0
     needed = set()
-    for mono, coeff in poly.terms.items():
-        if skip is not None and skip in mono:
+    for blocks, sign in _partition_table(len(members), m):
+        if blocks[0] == skip:
             continue
-        value = coeff
+        value = sign
         unknown = False
-        dead = False
-        for factor in mono:
-            have = known.get(factor)
+        for block in blocks:
+            key = keys.get(block)
+            if key is None:
+                labels = tuple(members[q - 1] for q in block)
+                cut = sum(q <= split for q in block)
+                key = keys[block] = labels[:cut] + tail + labels[cut:]
+            have = known.get(key)
             if have is None:
                 unknown = True
-            elif have == 0:
-                dead = True
+            elif not have:
                 break
             else:
-                value = value * have
-        if dead:
-            continue
-        if unknown:
-            needed.update(f for f in mono if f not in known)
-            continue
-        total += value
+                value *= have
+        else:
+            if unknown:
+                needed.update(k for k in map(keys.get, blocks) if k not in known)
+            else:
+                total += value
     if needed:
         raise MissingCoordinates(sorted(needed))
     return total
+
+
+def _forced_value(m: int, l: int, known, target, extra) -> Fraction:
+    """x_target = -Q/D on the carrier target + extra, from a partial table."""
+    head, tail = target[:m], target[m:]
+    denominator = _form_on_known(m, l, known, (), tail, extra)
+    if not denominator:
+        raise ZeroDenominator(
+            f"denominator form on {extra} vanishes at the known coordinates"
+        )
+    numerator = _form_on_known(m, l + 1, known, head, tail, extra)
+    return Fraction(-numerator) / denominator
 
 
 def reconstruct_coordinate(
@@ -195,21 +223,7 @@ def reconstruct_coordinate(
         )
     if car[:p] != tgt:
         raise ValueError("target must be the initial subinterval of the carrier")
-    head, tail = tgt[:m], tgt[m:]
-    extra = car[p:]
-    denominator = _eval_on_known(
-        hpf_polynomial(FormSpec(m, l, extra, tail)), assignment.known, None
-    )
-    if denominator == 0:
-        raise ZeroDenominator(
-            f"denominator form on {extra} vanishes at the known coordinates"
-        )
-    numerator = _eval_on_known(
-        hpf_polynomial(FormSpec(m, l + 1, head + extra, tail)),
-        assignment.known,
-        tgt,
-    )
-    return -numerator / denominator
+    return _forced_value(m, l, assignment._known, tgt, car[p:])
 
 
 @dataclass(frozen=True)
@@ -229,6 +243,11 @@ def _order_key(window):
     return key
 
 
+def _exact(value: Fraction):
+    """Integral values as int, which multiplies far faster than Fraction."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def _shallow_first(extra):
     return tuple(sorted(-x for x in extra))
 
@@ -246,43 +265,50 @@ def reconstruct_all(
     """
     _depth("m", m)
     _depth("l", l)
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
+    if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"budget must be None or a nonnegative integer, got {budget!r}")
     window = projected.window
     p = projected.grade
+    if p < m:
+        raise DimensionMismatch(f"window grade {p} is below the form width {m}")
     room = m * l
-    known = dict(projected.known)
+    # the forms are homogeneous: recover c * x_I from the table times c
+    scale = math.lcm(*(value.denominator for value in projected._known.values()))
+    known = {key: _exact(value * scale) for key, value in projected._known.items()}
     pending = sorted(projected.missing(), key=_order_key(window))
+    carriers = {}
     attempts = 0
     exhausted = False
     progress = True
     while pending and progress and not exhausted:
         progress = False
         for tgt in list(pending):
-            larger = [x for x in window.elements() if x > tgt[-1]]
-            if len(larger) < room:
-                continue
-            assignment = CoordinateAssignment(window, p, known, projected.params)
+            top = tgt[-1]
+            if top not in carriers:
+                larger = [x for x in window.elements() if x > top]
+                carriers[top] = sorted(
+                    itertools.combinations(larger, room), key=_shallow_first
+                )
             found = None
-            for extra in sorted(itertools.combinations(larger, room), key=_shallow_first):
+            for extra in carriers[top]:
                 if budget is not None and attempts >= budget:
                     exhausted = True
                     break
                 attempts += 1
                 try:
-                    found = reconstruct_coordinate(m, l, assignment, tgt, tgt + extra)
+                    found = _forced_value(m, l, known, tgt, extra)
                 except ReconstructionError:
                     continue
                 break
             if found is not None:
-                known[tgt] = found
+                known[tgt] = _exact(found)
                 pending.remove(tgt)
                 progress = True
             if exhausted:
                 break
     if pending:
         return ReconstructionResult(None, tuple(sorted(pending)), attempts)
-    values = {key: value for key, value in known.items() if value}
+    values = {key: Fraction(value) / scale for key, value in known.items() if value}
     return ReconstructionResult(Multivector(window, p, values), (), attempts)
 
 

@@ -24,10 +24,22 @@ class DimensionMismatch(ValueError):
 
 
 def _as_signed(value) -> int:
-    i = int(value)
-    if i != value or i == 0:
+    """The one label rule: a plain int, not a bool, not zero; never coerced."""
+    if type(value) is not int or not value:
         raise ValueError(f"index labels must be nonzero integers, got {value!r}")
-    return i
+    return value
+
+
+def ascending_key(indices: Iterable[int]) -> IndexSet:
+    """Labels that must already be strictly ascending, as a tuple."""
+    key = tuple(indices)
+    prev = None
+    for i in key:
+        _as_signed(i)
+        if prev is not None and prev >= i:
+            raise ValueError(f"index set {key} is not strictly ascending")
+        prev = i
+    return key
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .indices import (
     DimensionMismatch,
     IndexSet,
     Window,
+    ascending_key,
     shuffle_sign,
     sort_with_sign,
 )
@@ -43,16 +44,6 @@ def _coerce(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating point coefficients are not allowed")
     return Fraction(value)
-
-
-def _ascending_key(indices: Iterable[int]) -> IndexSet:
-    key = tuple(int(i) for i in indices)
-    for a, b in zip(key, key[1:]):
-        if a >= b:
-            raise ValueError(f"index set {key} is not strictly ascending")
-    if any(i == 0 for i in key):
-        raise ValueError("index 0 is not a valid label")
-    return key
 
 
 class Multivector:
@@ -71,7 +62,7 @@ class Multivector:
         store: dict[IndexSet, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw_key, raw_coeff in items:
-            key = _ascending_key(raw_key)
+            key = ascending_key(raw_key)
             if len(key) != grade:
                 raise DimensionMismatch(
                     f"term {key} has {len(key)} indices, expected grade {grade}"
@@ -116,7 +107,7 @@ class Multivector:
         return MappingProxyType(self._terms)
 
     def coeff(self, indices: Iterable[int]) -> Fraction:
-        return self._terms.get(_ascending_key(indices), Fraction(0))
+        return self._terms.get(ascending_key(indices), Fraction(0))
 
     def support(self) -> tuple[IndexSet, ...]:
         return tuple(sorted(self._terms))
@@ -567,7 +558,7 @@ def multivector_from_obj(obj) -> Multivector:
         if coeff == 0:
             raise FormatError("explicit zero coefficients are not canonical")
         try:
-            key = _ascending_key(indices)
+            key = ascending_key(indices)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
         if len(key) != grade:

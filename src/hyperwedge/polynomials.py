@@ -17,25 +17,15 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .indices import DimensionMismatch, IndexSet, Window
+from .indices import DimensionMismatch, IndexSet, Window, ascending_key
 from .multivector import FormatError, Multivector, parse_fraction
 
 Monomial = tuple[IndexSet, ...]
 
 
-def _variable_key(indices: Iterable[int]) -> IndexSet:
-    key = tuple(int(i) for i in indices)
-    for a, b in zip(key, key[1:]):
-        if a >= b:
-            raise ValueError(f"variable index set {key} is not strictly ascending")
-    if any(i == 0 for i in key):
-        raise ValueError("index 0 is not a valid variable label")
-    return key
-
-
 def monomial(factors: Iterable[Iterable[int]]) -> Monomial:
     """Canonical product key: validated factors in sorted multiset order."""
-    return tuple(sorted(_variable_key(f) for f in factors))
+    return tuple(sorted(ascending_key(f) for f in factors))
 
 
 def _coerce(value) -> Fraction:
@@ -92,7 +82,7 @@ class WedgePolynomial:
     def variable(
         cls, indices: Iterable[int], window: Optional[Window] = None
     ) -> "WedgePolynomial":
-        key = _variable_key(indices)
+        key = ascending_key(indices)
         return cls(len(key), {(key,): Fraction(1)}, window)
 
     # ---------------------------------------------------------- inspection

@@ -1,5 +1,6 @@
 """Good-coordinate projection and rational recovery of the dropped ones."""
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +28,7 @@ from hyperwedge.polynomials import (
     poly_mul,
 )
 
-from conftest import random_vector
+from conftest import random_decomposable, random_vector
 
 PAIR = GoodParams(2, 2, 2, 2)
 
@@ -176,6 +177,119 @@ def test_reconstruct_coordinate_validation():
         reconstruct_coordinate(4, 1, assignment, (-4, -3), (-4, -3, -2, -1, 1, 2))
 
 
+# ---------------------------------------------- slow-route oracle for carriers
+
+def eval_on_known(poly, known, skip):
+    """Term-by-term evaluation of a form polynomial over a partial table."""
+    total = Fraction(0)
+    needed = set()
+    for mono, coeff in poly.terms.items():
+        if skip in mono:
+            continue
+        if any(known.get(f) == 0 for f in mono):
+            continue
+        unknown = [f for f in mono if f not in known]
+        if unknown:
+            needed.update(unknown)
+            continue
+        value = coeff
+        for f in mono:
+            value *= known[f]
+        total += value
+    if needed:
+        raise MissingCoordinates(sorted(needed))
+    return total
+
+
+def slow_reconstruct(m, l, known, target, carrier):
+    """The carrier value -Q/D with both forms built as polynomials."""
+    p = len(target)
+    head, tail, extra = target[:m], target[m:], carrier[p:]
+    denominator = eval_on_known(hpf_polynomial(FormSpec(m, l, extra, tail)), known, None)
+    if denominator == 0:
+        raise ZeroDenominator(extra)
+    numerator = eval_on_known(
+        hpf_polynomial(FormSpec(m, l + 1, head + extra, tail)), known, target
+    )
+    return -numerator / denominator
+
+
+def outcome(route, *args):
+    try:
+        return "value", route(*args)
+    except MissingCoordinates as exc:
+        return MissingCoordinates, exc.coordinates
+    except ZeroDenominator:
+        return ZeroDenominator, None
+
+
+def pq_vector(rng, window):
+    v = random_vector(rng, window, bound=5)
+    return Multivector(window, 1, {k: c / rng.randint(2, 7) for k, c in v.terms.items()})
+
+
+def two_form_point(rng, window, pairs, pq):
+    if not pq:
+        return rank_sample(rng, window, pairs)
+    v = Multivector.zero(window, 2)
+    for _ in range(pairs):
+        v = v + wedge(pq_vector(rng, window), pq_vector(rng, window))
+    return v
+
+
+def three_form_point(rng, window, pairs, pq):
+    v = Multivector.zero(window, 3)
+    for _ in range(pairs):
+        v = v + random_decomposable(rng, window, 3, bound=5) * (
+            Fraction(rng.randint(1, 9), rng.randint(2, 9)) if pq else 1
+        )
+    return v
+
+
+@pytest.mark.parametrize(
+    "seed, window, m, l, pairs, pq",
+    [
+        (81, Window(6, 2), 2, 2, 2, False),
+        (82, Window(6, 2), 2, 3, 3, False),
+        (83, Window(8, 2), 2, 2, 2, False),
+        (84, Window(8, 2), 2, 3, 3, False),
+        (85, Window(6, 2), 2, 3, 3, True),
+        (86, Window(8, 2), 2, 2, 2, True),
+        (87, Window(6, 3), 2, 2, 2, False),
+        (88, Window(6, 3), 2, 2, 2, True),
+        (89, Window(6, 3), 3, 1, 2, False),
+    ],
+)
+def test_carrier_values_match_the_polynomial_route(seed, window, m, l, pairs, pq):
+    # every carrier of every missing coordinate and of the two lowest known
+    # ones, over the projection and over the full table with three entries
+    # dropped and two zeroed
+    rng = random.Random(seed)
+    build = two_form_point if window.p == 2 else three_form_point
+    kinds = set()
+    for _ in range(2):
+        v = build(rng, window, pairs, pq)
+        projected = dict(good_projection(v, GoodParams(m, l, 2, 2)).known)
+        perturbed = dict(full_assignment(v, PAIR).known)
+        for key in rng.sample(sorted(perturbed), 3):
+            del perturbed[key]
+        for key in rng.sample(sorted(perturbed), 2):
+            perturbed[key] = Fraction(0)
+        for known in (projected, perturbed):
+            assignment = CoordinateAssignment(window, window.p, known, PAIR)
+            targets = list(assignment.missing()) + sorted(known)[:2]
+            for target in targets:
+                larger = [x for x in window.elements() if x > target[-1]]
+                for extra in combinations(larger, m * l):
+                    carrier = target + extra
+                    fast = outcome(reconstruct_coordinate, m, l, assignment, target, carrier)
+                    slow = outcome(slow_reconstruct, m, l, known, target, carrier)
+                    assert fast == slow, (target, carrier)
+                    assert fast[0] != "value" or type(fast[1]) is Fraction
+                    kinds.add(fast[0])
+    assert "value" in kinds
+
+
 # ---------------------------------------------------------- reconstruction
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -204,6 +318,22 @@ def test_round_trip_rank_three():
         assert projected.missing() == ((-6, -5),)
         result = reconstruct_all(2, 3, projected)
         assert result.completed == v
+
+
+def test_round_trip_with_fraction_coefficients():
+    # denominators are cleared internally; results and attempts match the
+    # integral multiple of the same point
+    rng = random.Random(74)
+    for window, pairs in ((Window(6, 2), 2), (Window(8, 2), 3)):
+        params = GoodParams(2, pairs, 2, 2)
+        v = two_form_point(rng, window, pairs, True)
+        assert any(c.denominator > 1 for c in v.terms.values())
+        result = reconstruct_all(2, pairs, good_projection(v, params))
+        assert result.completed == v
+        scale = math.lcm(*(c.denominator for c in v.terms.values()))
+        integral = reconstruct_all(2, pairs, good_projection(v * scale, params))
+        assert integral.completed == v * scale
+        assert integral.attempts == result.attempts
 
 
 def test_reconstruct_all_is_identity_on_complete_assignments():
@@ -237,6 +367,53 @@ def test_budget_caps_attempts():
     assert result.attempts == 2
     assert result.completed is None
     assert set(result.stuck) == set(projected.missing())
+
+
+@pytest.mark.parametrize("budget", [True, False, -1, 1.0, "3"])
+def test_budget_must_be_a_plain_nonnegative_int(budget):
+    projected = good_projection(rank_sample(random.Random(70), Window(6, 2), 1), PAIR)
+    with pytest.raises(ValueError):
+        reconstruct_all(2, 2, projected, budget=budget)
+
+
+def test_form_wider_than_the_grade_is_rejected_up_front():
+    complete = full_assignment(Multivector.zero(Window(4, 2), 2), PAIR)
+    with pytest.raises(DimensionMismatch):
+        reconstruct_all(4, 1, complete)
+
+
+# Golden outcomes, read off the polynomial-route implementation: they pin the
+# diagram order of targets, the shallow-first order of carriers and the
+# budget accounting.
+def test_golden_rank_two_completion():
+    v = rank_sample(random.Random(71), Window(8, 2), 2)
+    projected = good_projection(v, PAIR)
+    result = reconstruct_all(2, 2, projected)
+    assert (result.completed, result.stuck, result.attempts) == (v, (), 15)
+    capped = reconstruct_all(2, 2, projected, budget=7)
+    assert capped.completed is None
+    assert capped.attempts == 7
+    assert capped.stuck == (
+        (-8, -7), (-8, -6), (-8, -5), (-8, -4), (-7, -6), (-7, -5), (-7, -4), (-6, -5)
+    )
+
+
+def test_golden_rank_three_completion():
+    v = rank_sample(random.Random(72), Window(8, 2), 3)
+    result = reconstruct_all(2, 3, good_projection(v, GoodParams(2, 3, 2, 2)))
+    assert (result.completed, result.stuck, result.attempts) == (v, (), 6)
+
+
+def test_golden_stuck_sum_of_two_trivectors():
+    rng = random.Random(73)
+    w = Window(6, 3)
+    v = random_decomposable(rng, w, 3, bound=5) + random_decomposable(rng, w, 3, bound=5)
+    projected = good_projection(v, PAIR)
+    result = reconstruct_all(2, 2, projected)
+    assert result.completed is None
+    assert len(result.stuck) == 47
+    assert result.stuck == tuple(sorted(projected.missing()))
+    assert result.attempts == 36
 
 
 # ------------------------------------------------------------- assignment

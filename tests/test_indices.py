@@ -89,6 +89,16 @@ def test_index_set_canonicalization():
         index_set([5], window=Window(1, 2))
 
 
+@pytest.mark.parametrize("label", [True, False, 1.0, 1.5, "1", None])
+def test_labels_are_never_coerced(label):
+    with pytest.raises(ValueError):
+        index_set([label])
+    with pytest.raises(ValueError):
+        sort_with_sign([2, label])
+    with pytest.raises(ValueError):
+        shuffle_sign([(label,), (2,)])
+
+
 # ---------------------------------------------------------------- sort sign
 
 def test_sort_with_sign_spec_values():

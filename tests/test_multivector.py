@@ -57,6 +57,15 @@ def test_constructor_rejects_sloppy_terms():
         Multivector(W23, 1, {(1,): 0.5})
 
 
+@pytest.mark.parametrize("label", [1.5, 1.0, "1", True, Fraction(1), None])
+def test_labels_must_be_plain_nonzero_ints(label):
+    # nothing is truncated or coerced into e(1), neither in terms nor lookups
+    with pytest.raises(ValueError):
+        Multivector(Window(2, 2), 1, {(label,): 1})
+    with pytest.raises(ValueError):
+        basis(W23, 1).coeff((label,))
+
+
 def test_basis_constructor_signs():
     assert basis(W23, 2, 1) == -basis(W23, 1, 2)
     assert Multivector.basis(W23, (1, 1)).is_zero()

@@ -66,6 +66,16 @@ def test_constructor_rejections():
         WedgePolynomial(2, {((1, 5),): 1}, window=Window(0, 4))
 
 
+@pytest.mark.parametrize("label", [1.5, 1.0, "1", True, None])
+def test_variable_labels_must_be_plain_nonzero_ints(label):
+    with pytest.raises(ValueError):
+        WedgePolynomial(2, {((label, 2),): 1})
+    with pytest.raises(ValueError):
+        WedgePolynomial.variable((label, 2))
+    with pytest.raises(ValueError):
+        var(1, 2).coeff([(label, 2)])
+
+
 def test_additive_identities():
     p = pf_four_display()
     zero = WedgePolynomial.zero(2)
