@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .forms import FormSpec, component_form_specs, hpf_eval, hpf_polynomial
-from .indices import DimensionMismatch, Window, shuffle_sign
+from .forms import FormSpec, component_equations, hpf_eval, hpf_polynomial
+from .indices import DimensionMismatch, Window
 from .multivector import (
     Covector,
     FormatError,
@@ -27,6 +27,7 @@ from .multivector import (
     multivector_from_obj,
     multivector_to_obj,
     parse_fraction,
+    parse_integer,
     transition,
     wedge,
     wedge_power,
@@ -38,7 +39,6 @@ from .varieties import (
     contraction_membership,
     in_grassmannian,
     in_hpf,
-    in_hpf_component,
     pf_contraction_identically_zero,
     pf_contraction_witness,
 )
@@ -51,7 +51,11 @@ DEFAULT_SEED = 1729
 
 def _load_multivector(source: str) -> Multivector:
     text = sys.stdin.read() if source == "-" else Path(source).read_text()
-    return multivector_from_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise FormatError(f"{source}: JSON nests too deeply") from None
+    return multivector_from_obj(obj)
 
 
 def _emit(args, text: str) -> None:
@@ -62,39 +66,20 @@ def _emit(args, text: str) -> None:
 
 
 def _parse_labels(text: str) -> tuple:
-    body = text.strip()
-    if not body:
-        return ()
-    return tuple(int(tok.strip()) for tok in body.split(","))
+    return tuple(parse_integer(tok) for tok in text.split(",")) if text else ()
 
 
 def _parse_covector(window: Window, text: str) -> Covector:
-    body = text.strip()
-    if not body:
+    if not text:
         raise FormatError("empty covector")
     entries: dict[int, Fraction] = {}
-    for chunk in body.split(","):
-        piece = chunk.strip()
+    for piece in text.split(","):
         head, sep, rest = piece.partition("=")
         if not sep:
             raise FormatError(f"bad covector entry {piece!r}; want label=value")
-        try:
-            label = int(head.strip())
-        except ValueError as exc:
-            raise FormatError(f"bad covector label {head.strip()!r}") from exc
-        value = parse_fraction(rest.strip())
-        entries[label] = entries.get(label, Fraction(0)) + value
+        label = parse_integer(head)
+        entries[label] = entries.get(label, Fraction(0)) + parse_fraction(rest)
     return Covector(window, entries)
-
-
-def _mv_text(v: Multivector) -> str:
-    if v.is_zero():
-        return "0"
-    parts = []
-    for key in v.support():
-        body = ",".join(str(i) for i in key)
-        parts.append(f"{v.coeff(key)}*e({body})")
-    return " + ".join(parts)
 
 
 def _poly_text(p: WedgePolynomial) -> str:
@@ -109,50 +94,6 @@ def _verdict(report) -> str:
     return "member" if report.member else "non-member"
 
 
-def _trivial_region(m: int, l: int, window: Window):
-    if window.p < m:
-        return True, f"p = {window.p} < m = {m}"
-    if window.n < m * (l - 1):
-        return True, f"n = {window.n} < m*(l-1) = {m * (l - 1)}"
-    return False, None
-
-
-def _check_locus_params(name_m: str, m: int, name_l: str, l: int) -> None:
-    if m < 2 or m % 2:
-        raise ValueError(f"{name_m} must be a positive even integer, got {m}")
-    if l < 1:
-        raise ValueError(f"{name_l} must be a positive integer, got {l}")
-
-
-def _pullback_dual(spec: FormSpec, window: Window) -> WedgePolynomial:
-    """Star-side equation rewritten in the coordinates of this window.
-
-    Each mirror coordinate x'_K equals sgn(I, I^c) x_I, where I^c is the
-    negation of K and I its complement, so substituting factor by factor
-    turns a form on the mirror window into one of full grade here.
-    """
-    source = hpf_polynomial(spec)
-    universe = window.elements()
-    terms: dict[tuple, Fraction] = {}
-    for mono, coeff in source.terms.items():
-        scale = coeff
-        factors = []
-        for key in mono:
-            comp = tuple(sorted(-x for x in key))
-            absent = set(comp)
-            image = tuple(x for x in universe if x not in absent)
-            scale = scale * shuffle_sign([image, comp])
-            factors.append(image)
-        keyed = tuple(sorted(factors))
-        total = terms.get(keyed, Fraction(0)) + scale
-        if total:
-            terms[keyed] = total
-        else:
-            terms.pop(keyed, None)
-    label = "dual(" + spec.label[4:]
-    return WedgePolynomial(window.p, terms, window, label)
-
-
 # ----------------------------------------------------------------- commands
 
 def cmd_eval(args) -> int:
@@ -165,9 +106,6 @@ def cmd_eval(args) -> int:
 
 def cmd_ideal(args) -> int:
     m, l = args.form
-    _check_locus_params("width m", m, "depth l", l)
-    if args.dual:
-        _check_locus_params("dual width r", args.dual[0], "dual depth s", args.dual[1])
     n, p = args.window
     window = Window(n, p)
     doc = {
@@ -175,24 +113,17 @@ def cmd_ideal(args) -> int:
         "form": [m, l],
         "dual": list(args.dual) if args.dual else None,
     }
-    trivial, reason = _trivial_region(m, l, window)
-    doc["trivial"] = trivial
+    reason, equations = component_equations(m, l, window)
+    doc["trivial"] = reason is not None
     doc["reason"] = reason
-    equations = []
-    if not trivial:
-        for spec in component_form_specs(m, l, window):
-            equations.append(poly_to_obj(hpf_polynomial(spec).with_window(window)))
     if args.dual:
-        r, s = args.dual
-        mirror = Window(p, n)
-        dual_trivial, dual_reason = _trivial_region(r, s, mirror)
-        doc["dual_trivial"] = dual_trivial
+        dual_reason, pulled = component_equations(*args.dual, window, dual=True)
+        doc["dual_trivial"] = dual_reason is not None
         doc["dual_reason"] = dual_reason
-        if not dual_trivial:
-            for spec in component_form_specs(r, s, mirror):
-                equations.append(poly_to_obj(_pullback_dual(spec, window)))
-    doc["count"] = len(equations)
-    doc["equations"] = equations
+        equations = itertools.chain(equations, pulled)
+    objs = [poly_to_obj(eq) for eq in equations]
+    doc["count"] = len(objs)
+    doc["equations"] = objs
     _emit(args, json.dumps(doc, indent=2))
     return 0
 
@@ -220,32 +151,17 @@ def cmd_member(args) -> int:
         m, l = args.form
         spec_text = f"maxbound({m},{l})"
         report = contraction_membership(m, l, v, trials=args.trials, seed=args.seed)
-    elif args.gr:
-        spec = VarietySpec.grassmannian()
-        spec_text = spec.describe()
-        report = check_membership(spec, v)
-    elif has_pf:
-        spec = VarietySpec.pf(args.pf)
-        spec_text = spec.describe()
-        report = check_membership(spec, v)
-    elif has_form and has_dual:
-        spec = VarietySpec.two_sided(args.form[0], args.form[1], args.dual[0], args.dual[1])
-        spec_text = spec.describe()
-        report = check_membership(spec, v)
-    elif has_form:
-        m, l = args.form
-        spec_text = VarietySpec.hpf(m, l).describe()
-        if v.grade == m:
-            report = in_hpf(m, l, v)
-        elif v.grade == v.window.p:
-            report = in_hpf_component(m, l, v)
-        else:
-            raise DimensionMismatch(
-                f"grade {v.grade} is neither the locus width {m} "
-                f"nor the window grade {v.window.p}"
-            )
     else:
-        spec = VarietySpec.dual_hpf(args.dual[0], args.dual[1])
+        if args.gr:
+            spec = VarietySpec.grassmannian()
+        elif has_pf:
+            spec = VarietySpec.pf(args.pf)
+        elif has_form and has_dual:
+            spec = VarietySpec.two_sided(*args.form, *args.dual)
+        elif has_form:
+            spec = VarietySpec.hpf(*args.form)
+        else:
+            spec = VarietySpec.dual_hpf(*args.dual)
         spec_text = spec.describe()
         report = check_membership(spec, v)
 
@@ -356,7 +272,7 @@ def _demo_sec5_trivector(check, say):
     if witness is not None:
         say(f"witness: {witness!r}")
         blown = wedge(t, wedge_power(contract(witness, t), 2))
-        check("blow-up at the witness", "6*e(-4,-3,-2,-1,1,2,3)", _mv_text(blown))
+        check("blow-up at the witness", "6*e(-4,-3,-2,-1,1,2,3)", str(blown))
     check("u survives every contraction", "yes", "yes" if pf_contraction_identically_zero(u) else "no")
 
     mirror = Window(3, 4)
@@ -365,7 +281,7 @@ def _demo_sec5_trivector(check, say):
         + Multivector.basis(mirror, (-2, -1, 3, 4))
         + Multivector.basis(mirror, (1, 2, 3, 4))
     )
-    check("star of t", _mv_text(wanted), _mv_text(hodge_star(t)))
+    check("star of t", str(wanted), str(hodge_star(t)))
 
 
 def _demo_sec5_fourvector(check, say):
@@ -377,7 +293,7 @@ def _demo_sec5_fourvector(check, say):
         + Multivector.basis(w, (-2, 1, 2, 3))
         + Multivector.basis(w, (-5, -2, -1, 4))
     )
-    check("omega wedge omega", "0", _mv_text(wedge(omega, omega)))
+    check("omega wedge omega", "0", str(wedge(omega, omega)))
     report = in_hpf(4, 2, omega)
     check("omega against HPf(4,2)", "member", _verdict(report))
     check("defining forms checked", "9", str(report.certificate.get("forms_checked")))
@@ -392,10 +308,10 @@ def _demo_limit_element(check, say):
             chain = wedge(chain, Multivector.basis(w, (k,)) + Multivector.basis(w, (k + 1,)))
         chain = wedge(chain, Multivector.basis(w, (p,)))
         target = Multivector.basis(w, tuple(range(1, p + 1)))
-        check(f"telescoping product at p={p}", _mv_text(target), _mv_text(chain))
+        check(f"telescoping product at p={p}", str(target), str(chain))
         if previous is not None:
             dropped = transition("j_dagger", chain)
-            check(f"truncation from p={p}", _mv_text(previous), _mv_text(dropped))
+            check(f"truncation from p={p}", str(previous), str(dropped))
         previous = chain
 
 
@@ -453,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def form_flag(p, required=True):
         p.add_argument(
-            "--form", nargs=2, type=int, metavar=("M", "L"), required=required,
+            "--form", nargs=2, type=parse_integer, metavar=("M", "L"), required=required,
             help="locus width and depth",
         )
 
@@ -473,23 +389,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     ideal = sub.add_parser("ideal", help="emit the defining equations of one component")
     form_flag(ideal)
-    ideal.add_argument("--window", nargs=2, type=int, metavar=("N", "P"), required=True,
+    ideal.add_argument("--window", nargs=2, type=parse_integer, metavar=("N", "P"), required=True,
                        help="negative and positive window sizes")
-    ideal.add_argument("--dual", nargs=2, type=int, metavar=("R", "S"),
+    ideal.add_argument("--dual", nargs=2, type=parse_integer, metavar=("R", "S"),
                        help="also pull back the mirror-side equations")
     out_flag(ideal)
     ideal.set_defaults(handler=cmd_ideal)
 
     mem = sub.add_parser("member", help="test a point against one locus")
     mem.add_argument("--gr", action="store_true", help="decomposable locus")
-    mem.add_argument("--pf", type=int, metavar="L", help="two-forms with vanishing l-th power")
+    mem.add_argument("--pf", type=parse_integer, metavar="L", help="two-forms with vanishing l-th power")
     form_flag(mem, required=False)
-    mem.add_argument("--dual", nargs=2, type=int, metavar=("R", "S"),
+    mem.add_argument("--dual", nargs=2, type=parse_integer, metavar=("R", "S"),
                      help="mirror-side locus; with --form, both sides")
     mem.add_argument("--max-bound", dest="max_bound", action="store_true",
                      help="randomized contraction test against the maximal locus")
-    mem.add_argument("--trials", type=int, default=DEFAULT_TRIALS, metavar="N")
-    mem.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S")
+    mem.add_argument("--trials", type=parse_integer, default=DEFAULT_TRIALS, metavar="N")
+    mem.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED, metavar="S")
     out_flag(mem)
     mem.add_argument("source", help="multivector file, or - for stdin")
     mem.set_defaults(handler=cmd_member)

@@ -33,11 +33,20 @@ from .indices import (
     DimensionMismatch,
     GoodParams,
     Window,
+    ascending_key,
+    exact,
     index_set,
     is_good,
+    plain_int,
     young_diagram,
 )
-from .multivector import FormatError, Multivector, parse_fraction
+from .multivector import (
+    FormatError,
+    Multivector,
+    format_errors,
+    parse_fraction,
+    read_header,
+)
 
 
 class ReconstructionError(Exception):
@@ -59,17 +68,6 @@ class MissingCoordinates(ReconstructionError):
         )
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not exact; pass Fraction or int")
-    return Fraction(value)
-
-
-def _depth(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 class CoordinateAssignment:
     """Partially known top-grade coordinates over a window.
 
@@ -87,7 +85,7 @@ class CoordinateAssignment:
             )
         params = GoodParams(*params)
         for name, value in zip(("m", "l", "r", "s"), params):
-            _depth(name, value)
+            plain_int(name, value)
         store = {}
         for key, value in known.items():
             iset = index_set(key, window=window)
@@ -95,7 +93,7 @@ class CoordinateAssignment:
                 raise DimensionMismatch(
                     f"coordinate {iset} has size {len(iset)}, expected {grade}"
                 )
-            store[iset] = _coerce(value)
+            store[iset] = exact(value)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "_known", store)
@@ -207,8 +205,8 @@ def reconstruct_coordinate(
     form on those extra indices vanishes, MissingCoordinates when needed
     coordinates are absent.
     """
-    _depth("m", m)
-    _depth("l", l)
+    plain_int("m", m)
+    plain_int("l", l)
     window = assignment.window
     p = assignment.grade
     if p < m:
@@ -243,7 +241,7 @@ def _order_key(window):
     return key
 
 
-def _exact(value: Fraction):
+def _int_if_integral(value: Fraction):
     """Integral values as int, which multiplies far faster than Fraction."""
     return value.numerator if value.denominator == 1 else value
 
@@ -263,10 +261,10 @@ def reconstruct_all(
     prerequisites arrived late get another chance.  budget caps the total
     number of single-coordinate attempts.
     """
-    _depth("m", m)
-    _depth("l", l)
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise ValueError(f"budget must be None or a nonnegative integer, got {budget!r}")
+    plain_int("m", m)
+    plain_int("l", l)
+    if budget is not None:
+        plain_int("budget", budget, 0)
     window = projected.window
     p = projected.grade
     if p < m:
@@ -274,7 +272,9 @@ def reconstruct_all(
     room = m * l
     # the forms are homogeneous: recover c * x_I from the table times c
     scale = math.lcm(*(value.denominator for value in projected._known.values()))
-    known = {key: _exact(value * scale) for key, value in projected._known.items()}
+    known = {
+        key: _int_if_integral(value * scale) for key, value in projected._known.items()
+    }
     pending = sorted(projected.missing(), key=_order_key(window))
     carriers = {}
     attempts = 0
@@ -301,7 +301,7 @@ def reconstruct_all(
                     continue
                 break
             if found is not None:
-                known[tgt] = _exact(found)
+                known[tgt] = _int_if_integral(found)
                 pending.remove(tgt)
                 progress = True
             if exhausted:
@@ -327,58 +327,28 @@ def assignment_to_obj(assignment: CoordinateAssignment) -> dict:
     }
 
 
-def _plain_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def assignment_from_obj(obj) -> CoordinateAssignment:
     """Strict inverse of assignment_to_obj; any defect raises FormatError."""
-    if not isinstance(obj, dict):
-        raise FormatError("assignment document must be an object")
-    window_obj = obj.get("window")
-    if (
-        not isinstance(window_obj, list)
-        or len(window_obj) != 2
-        or not all(_plain_int(x) and x >= 0 for x in window_obj)
-    ):
-        raise FormatError(f"bad window {window_obj!r}")
-    window = Window(window_obj[0], window_obj[1])
-    grade = obj.get("grade")
-    if not _plain_int(grade) or grade != window.p:
-        raise FormatError(f"grade {grade!r} does not match window {window}")
+    window, grade = read_header(obj, "assignment")
     params_obj = obj.get("good_params")
     if not isinstance(params_obj, dict) or set(params_obj) != {"m", "l", "r", "s"}:
         raise FormatError(f"bad good_params {params_obj!r}")
-    for name in ("m", "l", "r", "s"):
-        if not _plain_int(params_obj[name]) or params_obj[name] < 1:
-            raise FormatError(f"good_params.{name} must be a positive integer")
-    params = GoodParams(
-        params_obj["m"], params_obj["l"], params_obj["r"], params_obj["s"]
-    )
     terms = obj.get("terms")
     if not isinstance(terms, list):
         raise FormatError("terms must be a list")
     known = {}
-    for entry in terms:
-        if not isinstance(entry, dict):
-            raise FormatError("each term must be an object")
-        indices = entry.get("indices")
-        if not isinstance(indices, list) or not all(_plain_int(i) for i in indices):
-            raise FormatError(f"bad indices {indices!r}")
-        key = tuple(indices)
-        if tuple(sorted(set(key))) != key:
-            raise FormatError(f"indices must be strictly ascending, got {key}")
-        if not window.contains_set(key):
-            raise FormatError(f"indices {key} fall outside window {window}")
-        if len(key) != grade:
-            raise FormatError(f"coordinate {key} has size {len(key)}, expected {grade}")
-        if key in known:
-            raise FormatError(f"duplicate coordinate {key}")
-        coeff = entry.get("coeff")
-        if not isinstance(coeff, str):
-            raise FormatError(f"coeff must be a string, got {coeff!r}")
-        known[key] = parse_fraction(coeff)
-    assignment = CoordinateAssignment(window, grade, known, params)
+    with format_errors():
+        for entry in terms:
+            if not isinstance(entry, dict):
+                raise FormatError("each term must be an object")
+            indices = entry.get("indices")
+            if not isinstance(indices, list):
+                raise FormatError(f"bad indices {indices!r}")
+            key = ascending_key(indices)
+            if key in known:
+                raise FormatError(f"duplicate coordinate {key}")
+            known[key] = parse_fraction(entry.get("coeff"))
+        assignment = CoordinateAssignment(window, grade, known, GoodParams(**params_obj))
     declared = obj.get("missing")
     actual = [list(key) for key in assignment.missing()]
     if declared != actual:

@@ -21,14 +21,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .indices import (
     DimensionMismatch,
     IndexSet,
     Window,
     enumerate_partitions,
+    even_width,
     index_set,
+    plain_int,
+    shuffle_sign,
     sort_with_sign,
 )
 from .multivector import Multivector
@@ -45,10 +48,8 @@ class FormSpec:
     tail: IndexSet = ()
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("width must be positive")
-        if self.l < 1:
-            raise ValueError("degree must be positive")
+        plain_int("width m", self.m)
+        plain_int("degree l", self.l)
         members = index_set(self.indices)
         extra = index_set(self.tail) if self.tail else ()
         if len(members) != self.m * self.l:
@@ -83,25 +84,28 @@ def _partition_table(count: int, m: int):
     return tuple(enumerate_partitions(range(1, count + 1), m))
 
 
-@cache
-def _coordinate_table(spec: FormSpec):
-    """Signed coordinate keys of the form's terms, one row per partition."""
+def _partitions(spec: FormSpec):
+    """Signed position partitions of the form's terms; none when they cancel.
+
+    Only the per-shape table is cached: keys are relabelled on every call,
+    so memory does not grow with the member sets and tails evaluated.
+    """
     if spec.m % 2 and spec.l >= 2:
         return ()
-    members, tail = spec.indices, spec.tail
-    rows = []
-    for blocks, sign in _partition_table(len(members), spec.m):
-        keys = tuple(
-            tuple(sorted(tuple(members[q - 1] for q in block) + tail))
-            for block in blocks
-        )
-        rows.append((sign, keys))
-    return tuple(rows)
+    return _partition_table(len(spec.indices), spec.m)
+
+
+def _block_key(spec: FormSpec, block) -> IndexSet:
+    """Coordinate of one block of member positions, with the tail."""
+    return tuple(sorted(tuple(spec.indices[q - 1] for q in block) + spec.tail))
 
 
 def hpf_polynomial(spec: FormSpec) -> WedgePolynomial:
     """The form as a polynomial in size-(m + |tail|) coordinates."""
-    terms = {keys: Fraction(sign) for sign, keys in _coordinate_table(spec)}
+    terms = {
+        tuple(_block_key(spec, block) for block in blocks): Fraction(sign)
+        for blocks, sign in _partitions(spec)
+    }
     return WedgePolynomial(spec.grade, terms, None, spec.label)
 
 
@@ -113,11 +117,15 @@ def hpf_eval(spec: FormSpec, v: Multivector) -> Fraction:
         )
     if not v.window.contains_set(spec.indices + spec.tail):
         raise DimensionMismatch(f"form labels do not fit window {v.window}")
+    coeffs = {}
     total = Fraction(0)
-    for sign, keys in _coordinate_table(spec):
+    for blocks, sign in _partitions(spec):
         value = Fraction(sign)
-        for key in keys:
-            value *= v.coeff(key)
+        for block in blocks:
+            c = coeffs.get(block)
+            if c is None:
+                c = coeffs[block] = v.coeff(_block_key(spec, block))
+            value *= c
             if not value:
                 break
         else:
@@ -172,13 +180,10 @@ def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
             )
     if not window.contains_set(spec.indices):
         raise DimensionMismatch(f"form labels do not fit window {window}")
-    members = spec.indices
     signed = spec.m % 2 == 1
     total = Fraction(0)
-    for blocks, sign in _partition_table(len(members), spec.m):
-        keys = [
-            tuple(members[q - 1] for q in block) for block in blocks
-        ]
+    for blocks, sign in _partition_table(len(spec.indices), spec.m):
+        keys = [_block_key(spec, block) for block in blocks]
         columns = [[v.coeff(key) for v in vec] for key in keys]
         if any(not any(col) for col in columns):
             continue
@@ -280,10 +285,8 @@ def filtration_expansion(
     depend only on the pivot's position and the shape (m, l), so they are
     resolved once on canonical positions and relabelled.
     """
-    if m < 2 or m % 2:
-        raise ValueError("pivot expansion needs a positive even width")
-    if l < 1:
-        raise ValueError("residual degree must be positive")
+    even_width("m", m)
+    plain_int("l", l)
     base = index_set(members)
     if len(base) != m * (l + 1):
         raise DimensionMismatch(f"need {m * (l + 1)} labels, got {len(base)}")
@@ -304,8 +307,8 @@ def component_form_specs(m: int, l: int, window: Window) -> Iterator[FormSpec]:
     of the rest.  In windows too small for both choices the iterator is
     empty, matching the fact that the component fills the whole space there.
     """
-    if m < 1 or l < 1:
-        raise ValueError("width and degree must be positive")
+    plain_int("m", m)
+    plain_int("l", l)
     tail_size = window.p - m
     if tail_size < 0:
         return
@@ -315,3 +318,65 @@ def component_form_specs(m: int, l: int, window: Window) -> Iterator[FormSpec]:
         pool = tuple(x for x in labels if x not in taken)
         for extra in itertools.combinations(pool, tail_size):
             yield FormSpec(m, l, chosen, extra)
+
+
+def trivial_region(m: int, l: int, window: Window) -> Optional[str]:
+    """Why the (m, l) component fills the whole window, or None if it does not."""
+    if window.p < m:
+        return f"p = {window.p} < m = {m}"
+    if window.n < m * (l - 1):
+        return f"n = {window.n} < m*(l-1) = {m * (l - 1)}"
+    return None
+
+
+def pullback_dual(spec: FormSpec, window: Window) -> WedgePolynomial:
+    """Star-side equation rewritten in the coordinates of this window.
+
+    Each mirror coordinate x'_K equals sgn(I, I^c) x_I, where I^c is the
+    negation of K and I its complement, so substituting factor by factor
+    turns a form on the mirror window into one of full grade here.
+    """
+    source = hpf_polynomial(spec)
+    universe = window.elements()
+    terms: dict[tuple, Fraction] = {}
+    for mono, coeff in source.terms.items():
+        scale = coeff
+        factors = []
+        for key in mono:
+            comp = tuple(sorted(-x for x in key))
+            absent = set(comp)
+            image = tuple(x for x in universe if x not in absent)
+            scale = scale * shuffle_sign([image, comp])
+            factors.append(image)
+        keyed = tuple(sorted(factors))
+        total = terms.get(keyed, Fraction(0)) + scale
+        if total:
+            terms[keyed] = total
+        else:
+            terms.pop(keyed, None)
+    label = "dual(" + spec.label[4:]
+    return WedgePolynomial(window.p, terms, window, label)
+
+
+def component_equations(
+    m: int, l: int, window: Window, dual: bool = False
+) -> tuple[Optional[str], Iterator[WedgePolynomial]]:
+    """Defining equations of one component in window, or why there are none.
+
+    Returns the trivial-region reason (None outside such a region) and an
+    iterator over the equations, which is empty inside one; the arguments
+    are checked before this returns.  With dual=True the component is the
+    (m, l) one of the mirrored window (p, n), and each of its forms is pulled
+    back to full-grade coordinates of window.
+    """
+    width, depth = ("r", "s") if dual else ("m", "l")
+    even_width(width, m)
+    plain_int(depth, l)
+    side = Window(window.p, window.n) if dual else window
+    reason = trivial_region(m, l, side)
+    if reason is not None:
+        return reason, iter(())
+    specs = component_form_specs(m, l, side)
+    if dual:
+        return None, (pullback_dual(spec, window) for spec in specs)
+    return None, (hpf_polynomial(spec).with_window(window) for spec in specs)

@@ -8,11 +8,16 @@ reduces to the handful of primitives in this module: sorting with a
 permutation sign, shuffle signs of block concatenations, enumeration of
 unordered partitions into equal blocks, the goodness predicate on co-finite
 index sets, and the Young-diagram indexing of window coordinates.
+
+The package's argument checks live here too, one per kind of argument: the
+label rule, exact coefficients, and plain-integer and even-width parameters.
+Nothing is coerced: True, 1.0 and "1" are rejected, never read as 1.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 IndexSet = tuple[int, ...]
@@ -27,6 +32,28 @@ def _as_signed(value) -> int:
     """The one label rule: a plain int, not a bool, not zero; never coerced."""
     if type(value) is not int or not value:
         raise ValueError(f"index labels must be nonzero integers, got {value!r}")
+    return value
+
+
+def exact(value) -> Fraction:
+    """The one coefficient rule: an exact rational; floats raise TypeError."""
+    if isinstance(value, float):
+        raise TypeError("floating point coefficients are not allowed")
+    return Fraction(value)
+
+
+def plain_int(name: str, value, low: int = 1) -> int:
+    """The one integer-argument rule: a plain int, not a bool, at least low (0 or 1)."""
+    if type(value) is not int or value < low:
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
+
+
+def even_width(name: str, value) -> int:
+    """A plain positive even int, as the width of a hyper-Pfaffian locus."""
+    if type(value) is not int or value < 2 or value % 2:
+        raise ValueError(f"{name} must be a positive even integer, got {value!r}")
     return value
 
 
@@ -50,8 +77,8 @@ class Window:
     p: int
 
     def __post_init__(self):
-        if self.n < 0 or self.p < 0:
-            raise ValueError(f"window sides must be nonnegative, got ({self.n}, {self.p})")
+        plain_int("window side n", self.n, 0)
+        plain_int("window side p", self.p, 0)
 
     @property
     def size(self) -> int:
@@ -137,8 +164,7 @@ def enumerate_partitions(
     shuffle sign of that ordering.  Each unordered partition appears exactly
     once; the total count is (ml)! / ((m!)^l l!) for l = |set|/m.
     """
-    if m <= 0:
-        raise ValueError("block size must be positive")
+    plain_int("block size", m)
     base = index_set(elems)
     if len(base) % m:
         raise ValueError(f"cannot split {len(base)} labels into blocks of {m}")

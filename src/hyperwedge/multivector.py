@@ -22,6 +22,7 @@ Conventions that fix every sign in the package:
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -30,7 +31,10 @@ from .indices import (
     DimensionMismatch,
     IndexSet,
     Window,
+    _as_signed,
     ascending_key,
+    exact,
+    plain_int,
     shuffle_sign,
     sort_with_sign,
 )
@@ -38,12 +42,6 @@ from .indices import (
 
 class FormatError(ValueError):
     """Serialized data violates the on-disk contract."""
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating point coefficients are not allowed")
-    return Fraction(value)
 
 
 class Multivector:
@@ -57,8 +55,7 @@ class Multivector:
         grade: int,
         terms: Mapping[IndexSet, Fraction] | Iterable[tuple[IndexSet, Fraction]] = (),
     ):
-        if grade < 0:
-            raise ValueError("grade must be nonnegative")
+        plain_int("grade", grade, 0)
         store: dict[IndexSet, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw_key, raw_coeff in items:
@@ -69,7 +66,7 @@ class Multivector:
                 )
             if not window.contains_set(key):
                 raise DimensionMismatch(f"term {key} is outside window {window}")
-            coeff = _coerce(raw_coeff)
+            coeff = exact(raw_coeff)
             if coeff:
                 store[key] = coeff
         object.__setattr__(self, "window", window)
@@ -98,7 +95,7 @@ class Multivector:
             raise DimensionMismatch(f"indices {iset} outside window {window}")
         if sign == 0:
             return cls(window, len(raw))
-        return cls(window, len(raw), {iset: sign * _coerce(coeff)})
+        return cls(window, len(raw), {iset: sign * exact(coeff)})
 
     # -------------------------------------------------------- inspection
 
@@ -146,7 +143,7 @@ class Multivector:
     def __mul__(self, scalar):
         if isinstance(scalar, Multivector):
             return NotImplemented
-        s = _coerce(scalar)
+        s = exact(scalar)
         return Multivector(
             self.window, self.grade, {k: s * c for k, c in self._terms.items()}
         )
@@ -164,17 +161,17 @@ class Multivector:
 
     __hash__ = None
 
+    def __str__(self):
+        """The bare term sum, such as "2*e(-1,3) + 1/2*e(1,2)", or "0"."""
+        parts = []
+        for key in self.support():
+            c = self._terms[key]
+            label = "e(" + ",".join(str(i) for i in key) + ")"
+            parts.append(f"{c}*{label}" if key else str(c))
+        return " + ".join(parts) or "0"
+
     def __repr__(self):
-        if self.is_zero():
-            body = "0"
-        else:
-            parts = []
-            for key in self.support():
-                c = self._terms[key]
-                label = "e(" + ",".join(str(i) for i in key) + ")"
-                parts.append(f"{c}*{label}" if key else str(c))
-            body = " + ".join(parts)
-        return f"<{body} | grade {self.grade} in {self.window}>"
+        return f"<{self} | grade {self.grade} in {self.window}>"
 
 
 class Covector:
@@ -185,11 +182,11 @@ class Covector:
     def __init__(self, window: Window, coeffs: Mapping[int, Fraction]):
         store = {}
         for label, value in coeffs.items():
-            if label not in window:
+            if _as_signed(label) not in window:
                 raise DimensionMismatch(f"label {label} outside window {window}")
-            c = _coerce(value)
+            c = exact(value)
             if c:
-                store[int(label)] = c
+                store[label] = c
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "_coeffs", store)
 
@@ -233,7 +230,7 @@ class RationalMatrix:
 
     def __init__(self, window: Window, rows: Iterable[Iterable]):
         size = window.size
-        data = tuple(tuple(_coerce(x) for x in row) for row in rows)
+        data = tuple(tuple(exact(x) for x in row) for row in rows)
         if len(data) != size or any(len(row) != size for row in data):
             raise DimensionMismatch(f"matrix must be {size}x{size} for {window}")
         object.__setattr__(self, "window", window)
@@ -377,8 +374,7 @@ def _merge_sorted(left: IndexSet, right: IndexSet) -> tuple[IndexSet, int]:
 
 
 def wedge_power(v: Multivector, l: int) -> Multivector:
-    if l < 0:
-        raise ValueError("power must be nonnegative")
+    plain_int("power", l, 0)
     out = Multivector(v.window, 0, {(): Fraction(1)})
     for _ in range(l):
         if out.is_zero():
@@ -506,14 +502,52 @@ def rank_two_form(v: Multivector) -> int:
 
 # ------------------------------------------------------------------ files
 
-_FRACTION_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
+_INTEGER = r"-?(?:0|[1-9][0-9]*)"
+_INTEGER_RE = re.compile(_INTEGER)
+_FRACTION_RE = re.compile(_INTEGER + r"(?:/[1-9][0-9]*)?")
+
+
+def parse_integer(text) -> int:
+    """Strict decimal integer string: an optional minus, no leading zero.
+
+    A plus sign, surrounding space, an underscore or a non-ASCII digit is
+    rejected, never read past.
+    """
+    if not isinstance(text, str) or not _INTEGER_RE.fullmatch(text):
+        raise FormatError(f"bad integer literal {text!r}")
+    return int(text)
 
 
 def parse_fraction(text) -> Fraction:
     """Strict "p" or "p/q" decimal string, q positive."""
-    if not isinstance(text, str) or not _FRACTION_RE.match(text):
+    if not isinstance(text, str) or not _FRACTION_RE.fullmatch(text):
         raise FormatError(f"bad rational literal {text!r}")
     return Fraction(text)
+
+
+@contextmanager
+def format_errors():
+    """Report a ValueError from the block, DimensionMismatch included, as FormatError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def read_header(obj, kind: str, null_window: bool = False) -> tuple[Window | None, int]:
+    """Window and grade of a serialized document; any defect raises FormatError.
+
+    The window is a pair of nonnegative integers, or null where null_window
+    allows it; the grade is a nonnegative integer.
+    """
+    if not isinstance(obj, dict):
+        raise FormatError(f"{kind} document must be an object")
+    raw = obj.get("window")
+    if not (raw is None and null_window or isinstance(raw, (list, tuple)) and len(raw) == 2):
+        raise FormatError(f"window must be a pair of nonnegative integers, got {raw!r}")
+    with format_errors():
+        window = None if raw is None else Window(*raw)
+        return window, plain_int("grade", obj.get("grade"), 0)
 
 
 def multivector_to_obj(v: Multivector) -> dict:
@@ -528,44 +562,23 @@ def multivector_to_obj(v: Multivector) -> dict:
 
 
 def multivector_from_obj(obj) -> Multivector:
-    if not isinstance(obj, dict):
-        raise FormatError("multivector document must be an object")
-    window_part = obj.get("window")
-    if (
-        not isinstance(window_part, (list, tuple))
-        or len(window_part) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in window_part)
-        or any(x < 0 for x in window_part)
-    ):
-        raise FormatError("window must be a pair of nonnegative integers")
-    grade = obj.get("grade")
-    if not isinstance(grade, int) or isinstance(grade, bool) or grade < 0:
-        raise FormatError("grade must be a nonnegative integer")
+    window, grade = read_header(obj, "multivector")
     term_part = obj.get("terms")
     if not isinstance(term_part, list):
         raise FormatError("terms must be a list")
-    window = Window(*window_part)
     seen: dict[IndexSet, Fraction] = {}
-    for item in term_part:
-        if not isinstance(item, dict):
-            raise FormatError("each term must be an object")
-        indices = item.get("indices")
-        if not isinstance(indices, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in indices
-        ):
-            raise FormatError("indices must be a list of integers")
-        coeff = parse_fraction(item.get("coeff"))
-        if coeff == 0:
-            raise FormatError("explicit zero coefficients are not canonical")
-        try:
+    with format_errors():
+        for item in term_part:
+            if not isinstance(item, dict):
+                raise FormatError("each term must be an object")
+            indices = item.get("indices")
+            if not isinstance(indices, list):
+                raise FormatError("indices must be a list of integers")
             key = ascending_key(indices)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-        if len(key) != grade:
-            raise FormatError(f"term {key} does not match grade {grade}")
-        if not window.contains_set(key):
-            raise FormatError(f"term {key} outside window {window}")
-        if key in seen:
-            raise FormatError(f"duplicate term {key}")
-        seen[key] = coeff
-    return Multivector(window, grade, seen)
+            if key in seen:
+                raise FormatError(f"duplicate term {key}")
+            coeff = parse_fraction(item.get("coeff"))
+            if coeff == 0:
+                raise FormatError("explicit zero coefficients are not canonical")
+            seen[key] = coeff
+        return Multivector(window, grade, seen)

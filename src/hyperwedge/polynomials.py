@@ -17,8 +17,14 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .indices import DimensionMismatch, IndexSet, Window, ascending_key
-from .multivector import FormatError, Multivector, parse_fraction
+from .indices import DimensionMismatch, IndexSet, Window, ascending_key, exact, plain_int
+from .multivector import (
+    FormatError,
+    Multivector,
+    format_errors,
+    parse_fraction,
+    read_header,
+)
 
 Monomial = tuple[IndexSet, ...]
 
@@ -26,12 +32,6 @@ Monomial = tuple[IndexSet, ...]
 def monomial(factors: Iterable[Iterable[int]]) -> Monomial:
     """Canonical product key: validated factors in sorted multiset order."""
     return tuple(sorted(ascending_key(f) for f in factors))
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating point coefficients are not allowed")
-    return Fraction(value)
 
 
 class WedgePolynomial:
@@ -46,8 +46,7 @@ class WedgePolynomial:
         window: Optional[Window] = None,
         label: Optional[str] = None,
     ):
-        if grade < 0:
-            raise ValueError("grade must be nonnegative")
+        plain_int("grade", grade, 0)
         store: dict[Monomial, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw_mono, raw_coeff in items:
@@ -61,7 +60,7 @@ class WedgePolynomial:
                     raise DimensionMismatch(
                         f"variable {factor} is outside window {window}"
                     )
-            coeff = store.get(mono, Fraction(0)) + _coerce(raw_coeff)
+            coeff = store.get(mono, Fraction(0)) + exact(raw_coeff)
             if coeff:
                 store[mono] = coeff
             else:
@@ -177,7 +176,7 @@ def poly_mul(a: WedgePolynomial, b: WedgePolynomial) -> WedgePolynomial:
 
 
 def poly_scale(a: WedgePolynomial, scalar) -> WedgePolynomial:
-    s = _coerce(scalar)
+    s = exact(scalar)
     return WedgePolynomial(
         a.grade, {m: s * c for m, c in a._terms.items()}, a.window, a.label
     )
@@ -232,24 +231,7 @@ def poly_to_obj(p: WedgePolynomial) -> dict:
 
 
 def poly_from_obj(obj) -> WedgePolynomial:
-    if not isinstance(obj, dict):
-        raise FormatError("polynomial document must be an object")
-    window_part = obj.get("window")
-    window = None
-    if window_part is not None:
-        if (
-            not isinstance(window_part, (list, tuple))
-            or len(window_part) != 2
-            or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in window_part
-            )
-            or any(x < 0 for x in window_part)
-        ):
-            raise FormatError("window must be null or a pair of nonnegative integers")
-        window = Window(*window_part)
-    grade = obj.get("grade")
-    if not isinstance(grade, int) or isinstance(grade, bool) or grade < 0:
-        raise FormatError("grade must be a nonnegative integer")
+    window, grade = read_header(obj, "polynomial", null_window=True)
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise FormatError("label must be null or a string")
@@ -257,29 +239,18 @@ def poly_from_obj(obj) -> WedgePolynomial:
     if not isinstance(term_part, list):
         raise FormatError("terms must be a list")
     seen: dict[Monomial, Fraction] = {}
-    for item in term_part:
-        if not isinstance(item, dict):
-            raise FormatError("each term must be an object")
-        coeff = parse_fraction(item.get("coeff"))
-        if coeff == 0:
-            raise FormatError("explicit zero coefficients are not canonical")
-        factors = item.get("factors")
-        if not isinstance(factors, list) or not all(
-            isinstance(f, list)
-            and all(isinstance(i, int) and not isinstance(i, bool) for i in f)
-            for f in factors
-        ):
-            raise FormatError("factors must be a list of integer lists")
-        try:
+    with format_errors():
+        for item in term_part:
+            if not isinstance(item, dict):
+                raise FormatError("each term must be an object")
+            coeff = parse_fraction(item.get("coeff"))
+            if coeff == 0:
+                raise FormatError("explicit zero coefficients are not canonical")
+            factors = item.get("factors")
+            if not isinstance(factors, list) or not all(isinstance(f, list) for f in factors):
+                raise FormatError("factors must be a list of integer lists")
             mono = monomial(factors)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-        for factor in mono:
-            if len(factor) != grade:
-                raise FormatError(f"variable {factor} does not match grade {grade}")
-            if window is not None and not window.contains_set(factor):
-                raise FormatError(f"variable {factor} outside window {window}")
-        if mono in seen:
-            raise FormatError(f"duplicate monomial {mono}")
-        seen[mono] = coeff
-    return WedgePolynomial(grade, seen, window, label)
+            if mono in seen:
+                raise FormatError(f"duplicate monomial {mono}")
+            seen[mono] = coeff
+        return WedgePolynomial(grade, seen, window, label)

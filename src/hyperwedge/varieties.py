@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .forms import FormSpec, component_form_specs, hpf_eval
-from .indices import DimensionMismatch, Window
+from .forms import FormSpec, component_form_specs, hpf_eval, trivial_region
+from .indices import DimensionMismatch, Window, even_width, plain_int
 from .multivector import (
     Covector,
     Multivector,
@@ -31,16 +31,6 @@ _ENTRY_BOUND = 2**19
 _KINDS = ("grassmannian", "pf", "hpf", "dual_hpf", "two_sided")
 
 
-def _check_width(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 2 or value % 2:
-        raise ValueError(f"{name} must be a positive even integer, got {value!r}")
-
-
-def _check_depth(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class VarietySpec:
     """Tagged choice of locus; build through the classmethods."""
@@ -55,13 +45,13 @@ class VarietySpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown variety kind {self.kind!r}")
         if self.kind == "pf":
-            _check_depth("l", self.l)
+            plain_int("l", self.l)
         if self.kind in ("hpf", "two_sided"):
-            _check_width("m", self.m)
-            _check_depth("l", self.l)
+            even_width("m", self.m)
+            plain_int("l", self.l)
         if self.kind in ("dual_hpf", "two_sided"):
-            _check_width("r", self.r)
-            _check_depth("s", self.s)
+            even_width("r", self.r)
+            plain_int("s", self.s)
 
     @classmethod
     def grassmannian(cls) -> "VarietySpec":
@@ -126,10 +116,8 @@ class TypeSpec:
         if not parts:
             raise ValueError("partition needs at least one part")
         for part in parts:
-            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-                raise ValueError(f"parts must be positive integers, got {part!r}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"summand count must be positive, got {self.k!r}")
+            plain_int("part", part)
+        plain_int("summand count", self.k)
 
     @property
     def grade(self) -> int:
@@ -154,7 +142,6 @@ def in_pf(l: int, v: Multivector) -> MembershipReport:
     Runs through the width-2 locus test so a refutation names a violated
     pf form, not just the surviving power coordinate.
     """
-    _check_depth("l", l)
     if v.grade != 2:
         raise DimensionMismatch(f"expected a two-form, got grade {v.grade}")
     return in_hpf(2, l, v)
@@ -192,8 +179,8 @@ def in_hpf(m: int, l: int, v: Multivector) -> MembershipReport:
     Both routes run on every call and must agree; a mismatch would mean a
     defect in the form tables, so it raises instead of returning.
     """
-    _check_depth("m", m)
-    _check_depth("l", l)
+    plain_int("m", m)
+    plain_int("l", l)
     if v.grade != m:
         raise DimensionMismatch(f"locus lives in grade {m}, argument has {v.grade}")
     power = wedge_power(v, l)
@@ -227,18 +214,15 @@ def in_hpf(m: int, l: int, v: Multivector) -> MembershipReport:
 
 def in_hpf_component(m: int, l: int, v: Multivector) -> MembershipReport:
     """Evaluate all relative forms on a top-grade element of the window."""
-    _check_depth("m", m)
-    _check_depth("l", l)
+    plain_int("m", m)
+    plain_int("l", l)
     w = v.window
     if v.grade != w.p:
         raise DimensionMismatch(
             f"component test wants grade {w.p} in {w}, argument has {v.grade}"
         )
-    if w.p < m:
-        reason = f"p = {w.p} < m = {m}"
-        return MembershipReport(True, {"kind": "trivial_region", "reason": reason})
-    if w.n < m * (l - 1):
-        reason = f"n = {w.n} < m*(l-1) = {m * (l - 1)}"
+    reason = trivial_region(m, l, w)
+    if reason is not None:
         return MembershipReport(True, {"kind": "trivial_region", "reason": reason})
     count = 0
     for spec in component_form_specs(m, l, w):
@@ -254,8 +238,8 @@ def in_hpf_component(m: int, l: int, v: Multivector) -> MembershipReport:
 
 def in_dual_hpf(r: int, s: int, v: Multivector) -> MembershipReport:
     """Complement-side test: star the element, then take the s-th power."""
-    _check_depth("r", r)
-    _check_depth("s", s)
+    plain_int("r", r)
+    plain_int("s", s)
     expected = v.window.size - r
     if v.grade != expected:
         raise DimensionMismatch(
@@ -280,12 +264,24 @@ def in_two_sided(m: int, l: int, r: int, s: int, v: Multivector) -> MembershipRe
 
 
 def check_membership(spec: VarietySpec, v: Multivector) -> MembershipReport:
+    """Run the test for spec's locus on v.
+
+    The width-m locus is tested by wedge power at grade m and by its relative
+    equations at full window grade; any other grade is a DimensionMismatch.
+    """
     if spec.kind == "grassmannian":
         return in_grassmannian(v)
     if spec.kind == "pf":
         return in_pf(spec.l, v)
     if spec.kind == "hpf":
-        return in_hpf(spec.m, spec.l, v)
+        if v.grade == spec.m:
+            return in_hpf(spec.m, spec.l, v)
+        if v.grade == v.window.p:
+            return in_hpf_component(spec.m, spec.l, v)
+        raise DimensionMismatch(
+            f"grade {v.grade} is neither the locus width {spec.m} "
+            f"nor the window grade {v.window.p}"
+        )
     if spec.kind == "dual_hpf":
         return in_dual_hpf(spec.r, spec.s, v)
     return in_two_sided(spec.m, spec.l, spec.r, spec.s, v)
@@ -369,9 +365,9 @@ def contraction_membership(
     failing trial is an exact refutation and is returned with the
     covectors that produced it.
     """
-    _check_depth("m", m)
-    _check_depth("l", l)
-    _check_depth("trials", trials)
+    plain_int("m", m)
+    plain_int("l", l)
+    plain_int("trials", trials)
     if v.grade < m:
         raise DimensionMismatch(f"cannot contract grade {v.grade} down to {m}")
     w = v.window

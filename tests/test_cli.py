@@ -4,6 +4,7 @@ Every test drives main(argv) directly and inspects exit codes, stdout,
 and written files.  Expected values come from the library calls the
 commands wrap, which have their own suites.
 """
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -24,6 +25,14 @@ from hyperwedge.multivector import (
 from hyperwedge.polynomials import poly_eval, poly_from_obj, poly_to_obj
 
 from conftest import random_multivector
+
+
+def exit_code(argv):
+    """main's return value, or the status argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def basis(window, *indices, coeff=1):
@@ -485,3 +494,59 @@ def test_demo_unknown_name(capsys):
     assert main(["demo", "nope"]) == 2
     err = capsys.readouterr().err
     assert "nope" in err
+
+
+# ------------------------------------------------------ strict input rules
+
+@pytest.mark.parametrize("literal", ["1_0", "+1", "\u0661", " 1"])
+def test_argv_integers_follow_the_strict_literal_rule(literal, tmp_path, capsys):
+    # each of these once read as 1 or 10: int() takes signs, spaces,
+    # underscores and non-ASCII digits
+    v = save(tmp_path / "v.json", split_pair())
+    t = save(tmp_path / "t.json", trivector_t()[0])
+    for argv in (
+        ["eval", "--form", "2", "2", f"--set={literal},2,3,4", v],
+        ["eval", "--form", "2", "1", "--set", "2,3", f"--tail={literal}", v],
+        ["contract", f"--covector={literal}=1", t],
+        ["eval", "--form", literal, "2", "--set", "1,2,3,4", v],
+        ["ideal", "--form", "2", "2", "--window", literal, "2"],
+        ["ideal", "--form", "2", "2", "--window", "2", "2", "--dual", "2", literal],
+        ["member", "--pf", literal, v],
+        ["member", "--max-bound", "--form", "2", "3", "--trials", literal, t],
+        ["member", "--max-bound", "--form", "2", "3", "--seed", literal, t],
+    ):
+        assert exit_code(argv) == 2, argv
+    capsys.readouterr()
+
+
+def test_deeply_nested_json_is_a_format_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert main(["star", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ------------------------------------------------------ golden output
+
+GOLDEN_STDOUT_SHA256 = {
+    ("demo", "gr24"):
+        "56c8c3b2878f17948a417bc1cb796f34868a2422bfcd023ebf5a41fbd9c1f251",
+    ("demo", "lift42"):
+        "4e3aa4555aa48d6290f3c6e3158019ba87321e8dee917fa4c9f79dc32c8dcae9",
+    ("demo", "sec5-trivector"):
+        "f313e8d44ad31464abc87e557df069b77942fa5134cddd67c82e6aaa74641954",
+    ("demo", "sec5-fourvector"):
+        "5bc8ad9262f4d4d495a96945ae6aa57a14b334befbdb6210a454e60ff4703796",
+    ("demo", "limit-element"):
+        "e92ab3d9d1d3cfb9317a320e88c6f560f86c6f2949eeb94c9554802467f52d03",
+    ("ideal", "--form", "2", "2", "--window", "3", "3", "--dual", "2", "2"):
+        "adcdecc09000eab143793a3b6356f8398c8690fbb6b49f0512a7c47597cc1f9c",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_stdout_is_byte_identical_to_golden(argv, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]

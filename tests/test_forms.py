@@ -52,6 +52,14 @@ def test_spec_validation():
         FormSpec(2, 2, (1, 1, 2, 3))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5])
+def test_spec_shape_is_never_coerced(bad):
+    with pytest.raises(ValueError):
+        FormSpec(bad, 1, (1,))
+    with pytest.raises(ValueError):
+        FormSpec(1, bad, (1,))
+
+
 def test_labels():
     assert FormSpec(2, 2, (1, 2, 3, 4)).label == "hpf(2,2)@1,2,3,4"
     assert FormSpec(2, 2, (-1, 1, 2, 3), (4,)).label == "hpf(2,2)@-1,1,2,3|4"
@@ -265,6 +273,12 @@ def test_filtration_expansion_rejections():
         filtration_expansion(2, 1, (1, 2, 3, 4), 5)
     with pytest.raises(DimensionMismatch):
         filtration_expansion(2, 2, (1, 2, 3, 4), 1)
+
+
+@pytest.mark.parametrize("degree", [True, 1.0, 1.5])
+def test_filtration_expansion_degree_is_never_coerced(degree):
+    with pytest.raises(ValueError):
+        filtration_expansion(2, degree, (1, 2, 3, 4), 1)
 
 
 def test_component_enumeration_counts():

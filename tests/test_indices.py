@@ -99,6 +99,14 @@ def test_labels_are_never_coerced(label):
         shuffle_sign([(label,), (2,)])
 
 
+@pytest.mark.parametrize("side", [True, 1.0, 1.5])
+def test_window_sides_are_never_coerced(side):
+    with pytest.raises(ValueError):
+        Window(side, 2)
+    with pytest.raises(ValueError):
+        Window(2, side)
+
+
 # ---------------------------------------------------------------- sort sign
 
 def test_sort_with_sign_spec_values():

@@ -66,6 +66,24 @@ def test_labels_must_be_plain_nonzero_ints(label):
         basis(W23, 1).coeff((label,))
 
 
+@pytest.mark.parametrize("grade", [True, 1.0, 1.5])
+def test_grades_are_never_coerced(grade):
+    with pytest.raises(ValueError):
+        Multivector(W23, grade)
+
+
+@pytest.mark.parametrize("power", [True, 1.0, 1.5])
+def test_wedge_powers_are_never_coerced(power):
+    with pytest.raises(ValueError):
+        wedge_power(basis(W23, 1), power)
+
+
+@pytest.mark.parametrize("label", [True, 1.0, 1.5])
+def test_covector_labels_are_never_coerced(label):
+    with pytest.raises(ValueError):
+        Covector(W23, {label: 1})
+
+
 def test_basis_constructor_signs():
     assert basis(W23, 2, 1) == -basis(W23, 1, 2)
     assert Multivector.basis(W23, (1, 1)).is_zero()

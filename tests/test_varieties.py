@@ -469,6 +469,23 @@ def test_variety_spec_validation_and_dispatch():
         VarietySpec.two_sided(2, 2, 5, 1)
 
 
+def test_check_membership_hpf_dispatches_on_grade():
+    # grade m runs the power test, full window grade the component test
+    rng = random.Random(31)
+    w = Window(2, 3)
+    points = [random_decomposable(rng, w, 3, bound=3) for _ in range(3)]
+    points += [random_multivector(rng, w, 3) for _ in range(3)]
+    verdicts = set()
+    for v in points:
+        report = check_membership(VarietySpec.hpf(2, 2), v)
+        assert report == in_hpf_component(2, 2, v)
+        verdicts.add(report.member)
+    assert verdicts == {True, False}
+    for grade in (1, 4):
+        with pytest.raises(DimensionMismatch):
+            check_membership(VarietySpec.hpf(2, 2), random_multivector(rng, w, grade))
+
+
 def test_variety_spec_descriptions():
     assert VarietySpec.grassmannian().describe() == "Gr"
     assert VarietySpec.pf(3).describe() == "Pf(3)"
