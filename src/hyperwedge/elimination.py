@@ -350,6 +350,9 @@ def assignment_from_obj(obj) -> CoordinateAssignment:
             known[key] = parse_fraction(entry.get("coeff"))
         assignment = CoordinateAssignment(window, grade, known, GoodParams(**params_obj))
     declared = obj.get("missing")
+    expected = math.comb(window.size, grade) - len(known)
+    if not isinstance(declared, list) or len(declared) != expected:
+        raise FormatError(f"missing list must hold the {expected} unknown coordinates")
     actual = [list(key) for key in assignment.missing()]
     if declared != actual:
         raise FormatError(f"missing list {declared!r} does not match coordinates")

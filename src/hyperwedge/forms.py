@@ -9,11 +9,14 @@ version survives (it is computed here with determinants in place of
 permanents).  A relative variant glues a fixed disjoint tail J into every
 block coordinate.
 
-These forms carry the structure constants of the wedge product, satisfy a
-pivot expansion that lowers the degree by one, and cut out the coordinate
-varieties tested in the varieties module.  Signs in the pivot expansion are
-not guessed: they are read off by comparing coefficients against the full
-form, verified symbolically once, and cached per shape.
+These forms carry the structure constants of the wedge product (for even m
+the coefficient of e_K in v^l is l! * hpf(m, l)@K(v)), satisfy a pivot
+expansion that lowers the degree by one, and cut out the coordinate
+varieties tested in the varieties module.  Every sign here is a shuffle
+sign: a term's sign is that of its blocks concatenated, and in the pivot
+expansion the block through the pivot moves to the front at the cost of
+shuffle_sign([block, rest]), since even-width blocks commute.  The test
+suite assembles both identities symbolically against the full forms.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ from .indices import (
     shuffle_sign,
     sort_with_sign,
 )
-from .multivector import Multivector
-from .polynomials import WedgePolynomial, poly_equal, poly_mul
+from .multivector import Multivector, _det
+from .polynomials import WedgePolynomial
 
 
 @dataclass(frozen=True)
@@ -133,26 +136,16 @@ def hpf_eval(spec: FormSpec, v: Multivector) -> Fraction:
     return total
 
 
-def _alternating_sum(rows: Sequence[Sequence[Fraction]], signed: bool) -> Fraction:
-    """Permanent (signed=False) or determinant (signed=True) by expansion."""
-    size = len(rows)
+def _permanent(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Permanent of a square matrix by expansion over permutations."""
     total = Fraction(0)
-    for perm in itertools.permutations(range(size)):
+    for perm in itertools.permutations(range(len(rows))):
         term = Fraction(1)
         for i, j in enumerate(perm):
             term *= rows[i][j]
             if not term:
                 break
         else:
-            if signed:
-                inversions = sum(
-                    1
-                    for a in range(size)
-                    for b in range(a + 1, size)
-                    if perm[a] > perm[b]
-                )
-                if inversions % 2:
-                    term = -term
             total += term
     return total
 
@@ -180,7 +173,7 @@ def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
             )
     if not window.contains_set(spec.indices):
         raise DimensionMismatch(f"form labels do not fit window {window}")
-    signed = spec.m % 2 == 1
+    combine = _det if spec.m % 2 else _permanent
     total = Fraction(0)
     for blocks, sign in _partition_table(len(spec.indices), spec.m):
         keys = [_block_key(spec, block) for block in blocks]
@@ -188,7 +181,7 @@ def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
         if any(not any(col) for col in columns):
             continue
         rows = [[columns[j][i] for j in range(len(keys))] for i in range(len(vec))]
-        total += sign * _alternating_sum(rows, signed)
+        total += sign * combine(rows)
     return total
 
 
@@ -243,47 +236,15 @@ def plucker_relation(body: Iterable[int], extension: Iterable[int], window: Wind
     return WedgePolynomial(grade, pairs, window, label)
 
 
-@cache
-def _filtration_table(m: int, l: int, pivot_pos: int):
-    """Signed pivot blocks on canonical positions, verified symbolically."""
-    count = m * (l + 1)
-    canon = tuple(range(1, count + 1))
-    pivot = canon[pivot_pos]
-    full = hpf_polynomial(FormSpec(m, l + 1, canon))
-    assembled = WedgePolynomial.zero(m)
-    rows = []
-    for combo in itertools.combinations(canon, m):
-        if pivot not in combo:
-            continue
-        rest = tuple(x for x in canon if x not in combo)
-        residual = hpf_polynomial(FormSpec(m, l, rest))
-        mono, reference = residual.sorted_terms()[0]
-        target = tuple(sorted(mono + (combo,)))
-        sign = full.coeff(target) / reference
-        if sign == 1:
-            step = 1
-        elif sign == -1:
-            step = -1
-        else:
-            raise RuntimeError(f"expansion sign at {combo} is {sign}, not a unit")
-        rows.append((step, tuple(q - 1 for q in combo)))
-        assembled = assembled + step * poly_mul(
-            WedgePolynomial.variable(combo), residual
-        )
-    if not poly_equal(assembled, full):
-        raise RuntimeError("pivot expansion failed symbolic verification")
-    return tuple(rows)
-
-
 def filtration_expansion(
     m: int, l: int, members: Iterable[int], pivot: int
 ) -> list[tuple[int, IndexSet, FormSpec]]:
     """Expand the degree-(l+1) form on members along blocks through pivot.
 
     Returns (sign, block, residual spec) rows whose assembled combination
-    sign * x_block * hpf(residual) sums to the full degree-(l+1) form.  Signs
-    depend only on the pivot's position and the shape (m, l), so they are
-    resolved once on canonical positions and relabelled.
+    sign * x_block * hpf(residual) sums to the full degree-(l+1) form.  Each
+    sign is the shuffle sign of the block followed by the residual labels:
+    even-width blocks commute, so any term of the full form factors that way.
     """
     even_width("m", m)
     plain_int("l", l)
@@ -293,10 +254,11 @@ def filtration_expansion(
     if pivot not in base:
         raise ValueError(f"pivot {pivot} is not among the labels")
     out = []
-    for sign, positions in _filtration_table(m, l, base.index(pivot)):
-        block = tuple(base[q] for q in positions)
+    for block in itertools.combinations(base, m):
+        if pivot not in block:
+            continue
         rest = tuple(x for x in base if x not in block)
-        out.append((sign, block, FormSpec(m, l, rest)))
+        out.append((shuffle_sign([block, rest]), block, FormSpec(m, l, rest)))
     return out
 
 

@@ -223,6 +223,29 @@ class Covector:
         return f"<{body} | covector on {self.window}>"
 
 
+def _det(rows: Iterable[Iterable[Fraction]]) -> Fraction:
+    """Bareiss fraction-free determinant (exact; intermediate divisions cancel)."""
+    a = [list(row) for row in rows]
+    size = len(a)
+    if size == 0:
+        return Fraction(1)
+    sign = 1
+    prev = Fraction(1)
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if pivot is None:
+                return Fraction(0)
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 class RationalMatrix:
     """Dense square matrix over the window labels, exact rational entries."""
 
@@ -284,26 +307,7 @@ class RationalMatrix:
         return RationalMatrix(self.window, rows)
 
     def det(self) -> Fraction:
-        """Bareiss fraction-free determinant (exact; intermediate divisions cancel)."""
-        a = [list(row) for row in self._rows]
-        size = len(a)
-        if size == 0:
-            return Fraction(1)
-        sign = 1
-        prev = Fraction(1)
-        for k in range(size - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
-                if pivot is None:
-                    return Fraction(0)
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, size):
-                for j in range(k + 1, size):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-                a[i][k] = Fraction(0)
-            prev = a[k][k]
-        return sign * a[-1][-1]
+        return _det(self._rows)
 
     def rank(self) -> int:
         a = [list(row) for row in self._rows]

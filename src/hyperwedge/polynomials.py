@@ -140,14 +140,17 @@ class WedgePolynomial:
 
     __hash__ = None
 
-    def __repr__(self):
+    def __str__(self):
+        """The bare term sum, such as "1*x(1,2)x(3,4) + -1*x(1,3)x(2,4)", or "0"."""
         parts = []
         for mono, coeff in self.sorted_terms():
             factors = "".join("x(" + ",".join(map(str, f)) + ")" for f in mono)
-            parts.append(f"{coeff}{factors}" if factors else str(coeff))
-        body = " + ".join(parts) or "0"
+            parts.append(f"{coeff}*{factors}" if factors else str(coeff))
+        return " + ".join(parts) or "0"
+
+    def __repr__(self):
         home = self.window if self.window is not None else "any window"
-        return f"<{body} | grade {self.grade}, {home}>"
+        return f"<{self} | grade {self.grade}, {home}>"
 
 
 def _require_same_frame(a: WedgePolynomial, b: WedgePolynomial):

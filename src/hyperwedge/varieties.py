@@ -7,13 +7,20 @@ randomized procedures (contraction trials, odd-partition sampling) draw
 from a seeded generator, so equal inputs and seeds give equal output.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .forms import FormSpec, component_form_specs, hpf_eval, trivial_region
+from .forms import (
+    FormSpec,
+    component_form_specs,
+    hpf_eval,
+    plucker_relation,
+    trivial_region,
+)
 from .indices import DimensionMismatch, Window, even_width, plain_int
 from .multivector import (
     Covector,
@@ -24,7 +31,6 @@ from .multivector import (
     wedge_power,
 )
 from .polynomials import poly_eval
-from .forms import plucker_relation
 
 _ENTRY_BOUND = 2**19
 
@@ -174,41 +180,34 @@ def in_grassmannian(v: Multivector) -> MembershipReport:
 
 
 def in_hpf(m: int, l: int, v: Multivector) -> MembershipReport:
-    """Power test and equation test for the width-m depth-l locus.
+    """Power test for the width-m depth-l locus, certified by its forms.
 
-    Both routes run on every call and must agree; a mismatch would mean a
-    defect in the form tables, so it raises instead of returning.
+    The coefficient of e_K in v^l is l! * hpf(m, l)@K(v) for every m*l-subset
+    K of the window, so the one wedge power decides membership: it vanishes
+    iff all C(N, m*l) forms do.  A refutation names the form at the lowest
+    surviving coordinate K, the first a lexicographic scan of the forms would
+    find, with value coeff(K) / l!.
     """
     plain_int("m", m)
     plain_int("l", l)
     if v.grade != m:
         raise DimensionMismatch(f"locus lives in grade {m}, argument has {v.grade}")
     power = wedge_power(v, l)
-    violated = None
-    count = 0
-    for chosen in combinations(v.window.elements(), m * l):
-        spec = FormSpec(m, l, chosen)
-        value = hpf_eval(spec, v)
-        count += 1
-        if value:
-            violated = (spec.label, value)
-            break
-    if (violated is None) != power.is_zero():
-        raise RuntimeError("wedge power and equations disagree; table defect")
-    if violated is None:
+    if power.is_zero():
+        count = math.comb(v.window.size, m * l)
         return MembershipReport(
             True, {"kind": "zero_power", "power": l, "forms_checked": count}
         )
-    label, value = violated
+    key = power.support()[0]
+    coeff = power.coeff(key)
     cert = {
         "kind": "violated_form",
-        "label": label,
-        "value": str(value),
+        "label": FormSpec(m, l, key).label,
+        "value": str(coeff / math.factorial(l)),
         "power": l,
+        "power_coordinate": list(key),
+        "power_value": str(coeff),
     }
-    key = power.support()[0]
-    cert["power_coordinate"] = list(key)
-    cert["power_value"] = str(power.coeff(key))
     return MembershipReport(False, cert)
 
 

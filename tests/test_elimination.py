@@ -468,3 +468,32 @@ def test_assignment_rejects_malformed_documents(mutate):
     mutate(obj)
     with pytest.raises(FormatError):
         assignment_from_obj(obj)
+
+
+def test_assignment_missing_list_is_counted_before_it_is_enumerated(monkeypatch):
+    # window (15, 15) has C(30, 15) = 155,117,520 coordinates; the document
+    # must be refused from its length alone, never by listing them
+    def enumerate_all(self):
+        raise AssertionError("missing() was called")
+
+    monkeypatch.setattr(CoordinateAssignment, "missing", enumerate_all)
+    doc = {
+        "window": [15, 15],
+        "grade": 15,
+        "good_params": {"m": 2, "l": 2, "r": 2, "s": 2},
+        "terms": [],
+        "missing": [],
+    }
+    assert len(json.dumps(doc)) < 120
+    for declared in ([], [[1] * 15], None, "all", {"count": math.comb(30, 15)}):
+        doc["missing"] = declared
+        with pytest.raises(FormatError):
+            assignment_from_obj(doc)
+
+
+def test_assignment_missing_list_of_right_length_is_still_compared():
+    w = Window(4, 2)
+    obj = assignment_to_obj(good_projection(Multivector.basis(w, (-2, -1), 3), PAIR))
+    obj["missing"] = [[-2, -1]]
+    with pytest.raises(FormatError):
+        assignment_from_obj(obj)

@@ -264,6 +264,14 @@ def test_filtration_expansion_relabels_and_other_pivots():
         )
     shifted = (2, 5, 7, 11, 12, 20)
     assert poly_equal(_assemble(2, 2, shifted, 5), hpf_polynomial(FormSpec(2, 3, shifted)))
+    # every pivot of every small shape, on labels straddling zero
+    labels = (-4, -2, -1, 1, 3, 6, 7, 10)
+    for m, l in ((2, 1), (2, 2), (2, 3), (4, 1)):
+        members = labels[: m * (l + 1)]
+        full = hpf_polynomial(FormSpec(m, l + 1, members))
+        for pivot in members:
+            assert len(filtration_expansion(m, l, members, pivot)) == comb(m * (l + 1) - 1, m - 1)
+            assert poly_equal(_assemble(m, l, members, pivot), full)
 
 
 def test_filtration_expansion_rejections():

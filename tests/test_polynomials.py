@@ -264,3 +264,13 @@ def test_degree_and_zero_queries():
     assert WedgePolynomial.zero(3).degree() == 0
     assert p.coeff([(1, 3), (2, 4)]) == -1
     assert p.coeff([(1, 2), (1, 2)]) == 0
+
+
+def test_text_spellings():
+    p = pf_four_display()
+    assert str(p) == "1*x(1,2)x(3,4) + -1*x(1,3)x(2,4) + 1*x(1,4)x(2,3)"
+    assert repr(p) == f"<{p} | grade 2, any window>"
+    mixed = WedgePolynomial(2, {(): Fraction(3, 2), ((-1, 2),): -1}, Window(1, 2))
+    assert str(mixed) == "3/2 + -1*x(-1,2)"
+    assert repr(mixed) == "<3/2 + -1*x(-1,2) | grade 2, (1,2)>"
+    assert str(WedgePolynomial.zero(3)) == "0"

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from hyperwedge.forms import FormSpec, hpf_eval
 from hyperwedge.indices import DimensionMismatch, Window
 from hyperwedge.multivector import (
     Covector,
@@ -211,6 +212,72 @@ def test_lift_by_top_column_lands_in_hpf():
         assert lifted.window == Window(4, 4)
         assert in_hpf(4, 2, lifted).member
         assert transition("j_dagger", lifted) == point
+
+
+def two_route_in_hpf(m, l, v):
+    """The former in_hpf: wedge power and a scan of all C(N, m*l) forms."""
+    power = wedge_power(v, l)
+    violated = None
+    count = 0
+    for chosen in combinations(v.window.elements(), m * l):
+        spec = FormSpec(m, l, chosen)
+        value = hpf_eval(spec, v)
+        count += 1
+        if value:
+            violated = (spec.label, value)
+            break
+    assert (violated is None) == power.is_zero()
+    if violated is None:
+        return MembershipReport(
+            True, {"kind": "zero_power", "power": l, "forms_checked": count}
+        )
+    label, value = violated
+    key = power.support()[0]
+    cert = {
+        "kind": "violated_form",
+        "label": label,
+        "value": str(value),
+        "power": l,
+        "power_coordinate": list(key),
+        "power_value": str(power.coeff(key)),
+    }
+    return MembershipReport(False, cert)
+
+
+def _pq_product(rng, window, m):
+    """Wedge of m vectors with p/q entries: a decomposable element, maybe zero."""
+    out = Multivector(window, 0, {(): Fraction(1)})
+    for _ in range(m):
+        entries = {
+            (i,): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for i in rng.sample(window.elements(), rng.randint(1, min(3, window.size)))
+        }
+        out = wedge(out, Multivector(window, 1, entries))
+    return out
+
+
+def test_hpf_power_route_matches_the_form_scan():
+    # sums of k decomposables vanish at power k + 1 for even m, odd m vanish
+    # from the square on, and m*l beyond the window size leaves no form at all
+    rng = random.Random(71)
+    seen = {"member": 0, "non-member": 0, "even refuted at l > 1": 0, "m*l > N": 0}
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        l = rng.randint(1, 3)
+        window = Window(rng.randint(0, 4), rng.randint(max(1, m - 3), 6))
+        if rng.random() < 0.3:
+            v = random_multivector(rng, window, m, max_terms=5, bound=4)
+            v = v * Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        else:
+            v = Multivector.zero(window, m)
+            for _ in range(rng.randint(0, 3)):
+                v = v + _pq_product(rng, window, m)
+        report = in_hpf(m, l, v)
+        assert report == two_route_in_hpf(m, l, v)
+        seen["member" if report.member else "non-member"] += 1
+        seen["even refuted at l > 1"] += not report.member and m % 2 == 0 and l > 1
+        seen["m*l > N"] += m * l > window.size
+    assert min(seen.values()) >= 20, seen
 
 
 # ------------------------------------------------------ in_hpf_component
