@@ -14,17 +14,31 @@ Since I sits at the bottom of the carrier, the collected sign on x_I * D
 is +1; the splitting is verified symbolically in the test suite.
 
 Both forms are evaluated straight from the cached partition rows of their
-shape, without building polynomials.  Each block key is spliced, not
+shape, without building polynomials.  A per-shape plan lists the distinct
+blocks of those rows once, so each evaluation builds one coordinate key
+and does one lookup per block, not per row.  Each block key is spliced, not
 sorted: the block's labels from the head of I, then the rest of I, then its
 extra labels, which is ascending because the extras lie above I.  A full
 recovery pass clears the denominators of the known values once and reads a
 plain table of ints; every result is still an exact Fraction.
+
+A full recovery enumerates carriers lazily, shallowest first: the
+combinations of the labels above max(I), taken in descending order and each
+reversed, come out ordered by their largest extra label, then the next
+largest, and so on.  It also keeps every denominator that evaluated to a
+value, zero included, until it returns.  Known values are never
+overwritten, and such a denominator has no monomial with an unknown factor
+that a known zero does not silence, so no later value can change it.  A
+denominator that lacked prerequisites is evaluated again next time.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Optional
 
@@ -36,9 +50,7 @@ from .indices import (
     ascending_key,
     exact,
     index_set,
-    is_good,
     plain_int,
-    young_diagram,
 )
 from .multivector import (
     FormatError,
@@ -68,6 +80,14 @@ class MissingCoordinates(ReconstructionError):
         )
 
 
+def _good_params(params) -> GoodParams:
+    """The four thresholds as GoodParams, each a plain positive int."""
+    params = GoodParams(*params)
+    for name, value in zip(("m", "l", "r", "s"), params):
+        plain_int(name, value)
+    return params
+
+
 class CoordinateAssignment:
     """Partially known top-grade coordinates over a window.
 
@@ -83,9 +103,7 @@ class CoordinateAssignment:
             raise DimensionMismatch(
                 f"assignment grade must equal the window grade {window.p}, got {grade}"
             )
-        params = GoodParams(*params)
-        for name, value in zip(("m", "l", "r", "s"), params):
-            plain_int(name, value)
+        params = _good_params(params)
         store = {}
         for key, value in known.items():
             iset = index_set(key, window=window)
@@ -94,10 +112,18 @@ class CoordinateAssignment:
                     f"coordinate {iset} has size {len(iset)}, expected {grade}"
                 )
             store[iset] = exact(value)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "_known", store)
-        object.__setattr__(self, "params", params)
+        self._fill(window, grade, store, params)
+
+    def _fill(self, window, grade, known, params):
+        for name, value in zip(self.__slots__, (window, grade, known, params)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, window: Window, known: dict, params: GoodParams):
+        """Adopt ascending size-p window keys and Fraction values unchecked."""
+        out = object.__new__(cls)
+        out._fill(window, window.p, known, params)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("CoordinateAssignment is immutable")
@@ -115,9 +141,10 @@ class CoordinateAssignment:
         )
 
     def __repr__(self):
+        missing = math.comb(self.window.size, self.grade) - len(self._known)
         return (
             f"CoordinateAssignment({self.window}, known={len(self._known)},"
-            f" missing={len(self.missing())})"
+            f" missing={missing})"
         )
 
 
@@ -126,18 +153,59 @@ def good_projection(v: Multivector, params: GoodParams) -> CoordinateAssignment:
 
     Inputs of grade other than the window grade have no good coordinates
     at all (the co-finite extension is unbalanced), so they project to the
-    empty assignment.
+    empty assignment.  A size-p key always omits as many positive labels as
+    it has negative members, so only the two depth counts decide: the keys
+    ascend, so a second deep negative is key[1], and the positive members
+    at or above the deep gap threshold form a tail of the key.
     """
+    params = _good_params(params)
     window = v.window
+    p = window.p
     known = {}
-    if v.grade == window.p:
-        positives = tuple(range(1, window.p + 1))
-        for key in itertools.combinations(window.elements(), window.p):
-            negatives = [i for i in key if i < 0]
-            absent = [j for j in positives if j not in key]
-            if is_good(negatives, absent, params):
-                known[key] = v.coeff(key)
-    return CoordinateAssignment(window, window.p, known, params)
+    if v.grade == p:
+        deep_negative = params.deep_negative
+        low = max(params.deep_positive, 1)
+        deep_gaps = max(p + 1 - low, 0)
+        terms = v._terms
+        zero = Fraction(0)
+        for key in itertools.combinations(window.elements(), p):
+            if p > 1 and key[1] <= deep_negative:
+                continue
+            if deep_gaps - (p - bisect.bisect_left(key, low)) > 1:
+                continue
+            known[key] = terms.get(key, zero)
+    return CoordinateAssignment._trusted(window, known, params)
+
+
+@cache
+def _known_plan(count: int, m: int, split: int, gap: int):
+    """The m-block rows of member positions 1..count, read through their blocks.
+
+    The members are head + extra with |head| = split, and a tail of length
+    gap joins every block.  Returns, per distinct block, the positions of
+    its key in head + tail + extra, and the rows as (factor getter, bitmask
+    of the row's block ids, sign), minus the rows whose first block is the
+    whole head.  A getter reads the row's block values plus the constant 1
+    stored after them, so it returns a tuple even for a one-block row.
+    """
+    head = tuple(range(1, split + 1))
+    ids = {}
+    rows = []
+    for blocks, sign in _partition_table(count, m):
+        if blocks[0] != head:
+            rows.append((tuple(ids.setdefault(b, len(ids)) for b in blocks), sign))
+    one = len(ids)
+    rows = tuple(
+        (itemgetter(*row, one), sum(1 << b for b in row), sign) for row, sign in rows
+    )
+    tail = tuple(range(split, split + gap))
+    positions = tuple(
+        tuple(q - 1 for q in block if q <= split)
+        + tail
+        + tuple(q - 1 + gap for q in block if q > split)
+        for block in ids
+    )
+    return positions, rows
 
 
 def _form_on_known(m: int, degree: int, known, head, tail, extra):
@@ -149,44 +217,42 @@ def _form_on_known(m: int, degree: int, known, head, tail, extra):
     """
     if m % 2 and degree >= 2:  # the symmetrized sum cancels, as in forms
         return 0
-    members = head + extra
-    split = len(head)
-    skip = tuple(range(1, split + 1))
-    keys = {}
-    total = 0
-    needed = set()
-    for blocks, sign in _partition_table(len(members), m):
-        if blocks[0] == skip:
-            continue
-        value = sign
-        unknown = False
-        for block in blocks:
-            key = keys.get(block)
-            if key is None:
-                labels = tuple(members[q - 1] for q in block)
-                cut = sum(q <= split for q in block)
-                key = keys[block] = labels[:cut] + tail + labels[cut:]
-            have = known.get(key)
-            if have is None:
-                unknown = True
-            elif not have:
-                break
-            else:
-                value *= have
-        else:
-            if unknown:
-                needed.update(k for k in map(keys.get, blocks) if k not in known)
-            else:
-                total += value
-    if needed:
-        raise MissingCoordinates(sorted(needed))
-    return total
+    positions, rows = _known_plan(len(head) + len(extra), m, len(head), len(tail))
+    label = (head + tail + extra).__getitem__
+    keys = [tuple(map(label, block)) for block in positions]
+    values = [known.get(key) for key in keys]
+    if None in values:
+        unknown = zero = live = 0
+        for b, value in enumerate(values):
+            if value is None:
+                unknown |= 1 << b
+            elif not value:
+                zero |= 1 << b
+        for _, mask, _ in rows:
+            if not mask & zero:
+                live |= mask
+        needed = live & unknown
+        if needed:
+            raise MissingCoordinates(
+                sorted(key for b, key in enumerate(keys) if needed >> b & 1)
+            )
+        # every row with an unknown factor also has a known zero
+        values = [value or 0 for value in values]
+    values.append(1)
+    return sum(sign * math.prod(factors(values)) for factors, _, sign in rows)
 
 
-def _forced_value(m: int, l: int, known, target, extra) -> Fraction:
-    """x_target = -Q/D on the carrier target + extra, from a partial table."""
+def _forced_value(m: int, l: int, known, target, extra, settled: dict) -> Fraction:
+    """x_target = -Q/D on the carrier target + extra, from a partial table.
+
+    settled keeps denominators that evaluated to a value, keyed by
+    (tail, extra); it is only sound while known grows without overwrites.
+    """
     head, tail = target[:m], target[m:]
-    denominator = _form_on_known(m, l, known, (), tail, extra)
+    denominator = settled.get((tail, extra))
+    if denominator is None:
+        denominator = _form_on_known(m, l, known, (), tail, extra)
+        settled[tail, extra] = denominator
     if not denominator:
         raise ZeroDenominator(
             f"denominator form on {extra} vanishes at the known coordinates"
@@ -221,7 +287,7 @@ def reconstruct_coordinate(
         )
     if car[:p] != tgt:
         raise ValueError("target must be the initial subinterval of the carrier")
-    return _forced_value(m, l, assignment._known, tgt, car[p:])
+    return _forced_value(m, l, assignment._known, tgt, car[p:], {})
 
 
 @dataclass(frozen=True)
@@ -233,12 +299,29 @@ class ReconstructionResult:
     attempts: int
 
 
-def _order_key(window):
-    def key(iset):
-        diagram = young_diagram(iset, window)
-        return (sum(diagram), diagram, iset)
+def _diagram_order(iset):
+    """(size, young_diagram, iset) for an ascending size-p window key.
 
-    return key
+    The steps are young_diagram's, weakly decreasing; the diagram is their
+    conjugate, built from the bottom row up without re-checking the key.
+    """
+    steps = [k - (i if i > 0 else i + 1) for k, i in enumerate(iset, start=1)]
+    diagram = []
+    for count in range(len(steps), 0, -1):
+        if steps[count - 1] > len(diagram):
+            diagram += [count] * (steps[count - 1] - len(diagram))
+    return sum(diagram), tuple(diagram), iset
+
+
+def _carriers(larger, room: int):
+    """The room-subsets of the ascending labels larger, shallowest first.
+
+    Combinations of the labels in descending order come out ordered by
+    their largest member, then the next largest, and so on, descending;
+    each is reversed into an ascending extra.
+    """
+    for extra in itertools.combinations(larger[::-1], room):
+        yield extra[::-1]
 
 
 def _int_if_integral(value: Fraction):
@@ -246,20 +329,23 @@ def _int_if_integral(value: Fraction):
     return value.numerator if value.denominator == 1 else value
 
 
-def _shallow_first(extra):
-    return tuple(sorted(-x for x in extra))
-
-
 def reconstruct_all(
     m: int, l: int, projected: CoordinateAssignment, budget: Optional[int] = None
 ) -> ReconstructionResult:
     """Recover missing coordinates in diagram order until done or stuck.
 
-    Carriers for each target are tried shallowest complement first; a
-    carrier that fails with a zero denominator or missing prerequisites is
-    skipped.  Passes repeat while progress happens, so coordinates whose
-    prerequisites arrived late get another chance.  budget caps the total
-    number of single-coordinate attempts.
+    Carriers for each target are tried shallowest complement first; they
+    are enumerated lazily by _carriers, never sorted or stored.  A carrier
+    that fails with a zero denominator or missing prerequisites is skipped.
+    Passes repeat while progress happens, so coordinates whose prerequisites
+    arrived late get another chance.  budget caps the total number of
+    single-coordinate attempts.
+
+    The forms are read through cached per-shape row plans.  A denominator
+    that evaluated to a value, zero included, is kept for the rest of the
+    call and still counts an attempt when reused: known values are never
+    overwritten, and every monomial with an unknown factor was silenced by
+    a known zero, so it cannot change.
     """
     plain_int("m", m)
     plain_int("l", l)
@@ -270,33 +356,30 @@ def reconstruct_all(
     if p < m:
         raise DimensionMismatch(f"window grade {p} is below the form width {m}")
     room = m * l
+    labels = window.elements()
+    above = {x: labels[k + 1:] for k, x in enumerate(labels)}
     # the forms are homogeneous: recover c * x_I from the table times c
     scale = math.lcm(*(value.denominator for value in projected._known.values()))
     known = {
-        key: _int_if_integral(value * scale) for key, value in projected._known.items()
+        key: value.numerator * (scale // value.denominator)
+        for key, value in projected._known.items()
     }
-    pending = sorted(projected.missing(), key=_order_key(window))
-    carriers = {}
+    pending = sorted(projected.missing(), key=_diagram_order)
+    settled = {}
     attempts = 0
     exhausted = False
     progress = True
     while pending and progress and not exhausted:
         progress = False
         for tgt in list(pending):
-            top = tgt[-1]
-            if top not in carriers:
-                larger = [x for x in window.elements() if x > top]
-                carriers[top] = sorted(
-                    itertools.combinations(larger, room), key=_shallow_first
-                )
             found = None
-            for extra in carriers[top]:
+            for extra in _carriers(above[tgt[-1]], room):
                 if budget is not None and attempts >= budget:
                     exhausted = True
                     break
                 attempts += 1
                 try:
-                    found = _forced_value(m, l, known, tgt, extra)
+                    found = _forced_value(m, l, known, tgt, extra, settled)
                 except ReconstructionError:
                     continue
                 break
@@ -308,8 +391,8 @@ def reconstruct_all(
                 break
     if pending:
         return ReconstructionResult(None, tuple(sorted(pending)), attempts)
-    values = {key: Fraction(value) / scale for key, value in known.items() if value}
-    return ReconstructionResult(Multivector(window, p, values), (), attempts)
+    values = {key: Fraction(value, scale) for key, value in known.items() if value}
+    return ReconstructionResult(Multivector._trusted(window, p, values), (), attempts)
 
 
 def assignment_to_obj(assignment: CoordinateAssignment) -> dict:

@@ -76,6 +76,15 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    @classmethod
+    def _trusted(cls, window: Window, grade: int, terms: dict) -> "Multivector":
+        """Adopt a dict of ascending in-window keys and nonzero Fractions unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "window", window)
+        object.__setattr__(out, "grade", grade)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
     # -------------------------------------------------------- constructors
 
     @classmethod

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import hyperwedge.elimination as elimination
+
 import pytest
 
 from hyperwedge.elimination import (
@@ -18,8 +20,15 @@ from hyperwedge.elimination import (
     reconstruct_all,
     reconstruct_coordinate,
 )
-from hyperwedge.forms import FormSpec, hpf_polynomial
-from hyperwedge.indices import DimensionMismatch, GoodParams, Window
+from hyperwedge.forms import FormSpec, _partition_table, hpf_polynomial
+from hyperwedge.indices import (
+    DimensionMismatch,
+    GoodParams,
+    Window,
+    is_good,
+    young_diagram,
+)
+from hyperwedge.varieties import in_pf
 from hyperwedge.multivector import FormatError, Multivector, wedge
 from hyperwedge.polynomials import (
     WedgePolynomial,
@@ -416,6 +425,267 @@ def test_golden_stuck_sum_of_two_trivectors():
     assert result.attempts == 36
 
 
+# ------------------------------------------------- whole-pass route oracle
+# The recovery pass as it was before carriers became lazy: every key judged
+# by is_good and ordered by young_diagram, every carrier list sorted, every
+# form read row by row with per-row keys, every denominator evaluated anew,
+# and the result re-validated by the public constructors.
+
+def oracle_projection(v, params):
+    window = v.window
+    known = {}
+    if v.grade == window.p:
+        positives = tuple(range(1, window.p + 1))
+        for key in combinations(window.elements(), window.p):
+            negatives = [i for i in key if i < 0]
+            absent = [j for j in positives if j not in key]
+            if is_good(negatives, absent, params):
+                known[key] = v.coeff(key)
+    return CoordinateAssignment(window, window.p, known, params)
+
+
+def oracle_form_on_known(m, degree, known, head, tail, extra):
+    if m % 2 and degree >= 2:
+        return 0
+    members = head + extra
+    split = len(head)
+    skip = tuple(range(1, split + 1))
+    keys = {}
+    total = 0
+    needed = set()
+    for blocks, sign in _partition_table(len(members), m):
+        if blocks[0] == skip:
+            continue
+        value = sign
+        unknown = False
+        for block in blocks:
+            key = keys.get(block)
+            if key is None:
+                labels = tuple(members[q - 1] for q in block)
+                cut = sum(q <= split for q in block)
+                key = keys[block] = labels[:cut] + tail + labels[cut:]
+            have = known.get(key)
+            if have is None:
+                unknown = True
+            elif not have:
+                break
+            else:
+                value *= have
+        else:
+            if unknown:
+                needed.update(k for k in map(keys.get, blocks) if k not in known)
+            else:
+                total += value
+    if needed:
+        raise MissingCoordinates(sorted(needed))
+    return total
+
+
+def oracle_forced_value(m, l, known, target, extra):
+    head, tail = target[:m], target[m:]
+    denominator = oracle_form_on_known(m, l, known, (), tail, extra)
+    if not denominator:
+        raise ZeroDenominator(extra)
+    numerator = oracle_form_on_known(m, l + 1, known, head, tail, extra)
+    return Fraction(-numerator) / denominator
+
+
+def shallow_first(extra):
+    return tuple(sorted(-x for x in extra))
+
+
+def int_if_integral(value):
+    return value.numerator if value.denominator == 1 else value
+
+
+def oracle_reconstruct_all(m, l, projected, budget=None):
+    window = projected.window
+    p = projected.grade
+    room = m * l
+
+    def order(iset):
+        diagram = young_diagram(iset, window)
+        return (sum(diagram), diagram, iset)
+
+    scale = math.lcm(*(value.denominator for value in projected.known.values()))
+    known = {key: int_if_integral(value * scale) for key, value in projected.known.items()}
+    pending = sorted(projected.missing(), key=order)
+    carriers = {}
+    attempts = 0
+    exhausted = False
+    progress = True
+    while pending and progress and not exhausted:
+        progress = False
+        for tgt in list(pending):
+            top = tgt[-1]
+            if top not in carriers:
+                larger = [x for x in window.elements() if x > top]
+                carriers[top] = sorted(combinations(larger, room), key=shallow_first)
+            found = None
+            for extra in carriers[top]:
+                if budget is not None and attempts >= budget:
+                    exhausted = True
+                    break
+                attempts += 1
+                try:
+                    found = oracle_forced_value(m, l, known, tgt, extra)
+                except ReconstructionError:
+                    continue
+                break
+            if found is not None:
+                known[tgt] = int_if_integral(found)
+                pending.remove(tgt)
+                progress = True
+            if exhausted:
+                break
+    if pending:
+        return None, tuple(sorted(pending)), attempts
+    values = {key: Fraction(value) / scale for key, value in known.items() if value}
+    return Multivector(window, p, values), (), attempts
+
+
+def whole(result):
+    return result.completed, result.stuck, result.attempts
+
+
+def checked_projection(v, params):
+    projected = good_projection(v, params)
+    assert projected.known == oracle_projection(v, params).known
+    return projected
+
+
+def assert_pass_matches_the_oracle(m, l, projected):
+    full = whole(reconstruct_all(m, l, projected))
+    assert full == oracle_reconstruct_all(m, l, projected)
+    cuts = {0, 1, full[2] // 3, full[2] // 2, full[2] - 1, full[2]}
+    for budget in sorted(b for b in cuts if b >= 0):
+        capped = whole(reconstruct_all(m, l, projected, budget=budget))
+        assert capped == oracle_reconstruct_all(m, l, projected, budget), budget
+    return full
+
+
+@pytest.mark.parametrize(
+    "seed, window, l, pairs, pq",
+    [
+        (101, Window(6, 2), 2, 2, False),
+        (102, Window(8, 2), 2, 2, True),
+        (103, Window(7, 2), 3, 3, False),
+        (104, Window(8, 2), 3, 3, True),
+    ],
+)
+def test_pass_matches_the_oracle_on_plane_sums(seed, window, l, pairs, pq):
+    rng = random.Random(seed)
+    for _ in range(4):
+        v = two_form_point(rng, window, pairs, pq)
+        projected = checked_projection(v, GoodParams(2, l, 2, 2))
+        completed, _, _ = assert_pass_matches_the_oracle(2, l, projected)
+        assert completed == v
+
+
+def test_pass_matches_the_oracle_on_the_deficient_class():
+    # sums of two planes under the degree-3 carriers: every denominator is a
+    # degree-3 Pfaffian form, and those vanish on rank-4 points
+    rng = random.Random(105)
+    for pq in (False, True, False):
+        v = two_form_point(rng, Window(10, 2), 2, pq)
+        projected = checked_projection(v, GoodParams(2, 3, 2, 2))
+        completed, stuck, _ = assert_pass_matches_the_oracle(2, 3, projected)
+        assert completed is None and stuck
+
+
+def test_pass_matches_the_oracle_on_trivector_sums():
+    # projections stall; full tables without the keys below -1 complete, and
+    # their targets share carriers across different tails
+    rng = random.Random(106)
+    for pq in (False, True):
+        v = three_form_point(rng, Window(6, 3), 2, pq)
+        assert_pass_matches_the_oracle(2, 2, checked_projection(v, PAIR))
+    for window, pairs, l, pq in (
+        (Window(6, 3), 1, 1, False),
+        (Window(7, 3), 1, 1, True),
+        (Window(6, 3), 2, 2, True),
+        (Window(7, 3), 2, 2, False),
+    ):
+        v = three_form_point(rng, window, pairs, pq)
+        full = full_assignment(v, PAIR).known
+        shallow = {key: value for key, value in full.items() if key[-1] > -2}
+        assignment = CoordinateAssignment(window, 3, shallow, PAIR)
+        completed, _, _ = assert_pass_matches_the_oracle(2, l, assignment)
+        assert completed == v
+
+
+def test_lazy_carriers_follow_the_sorted_shallow_first_order():
+    for labels in ((-6, -5, -4, -3, -2, -1, 1, 2), (-3, -1, 2, 4, 7), (1, 2, 3)):
+        for room in (0, 1, 2, 3, 4, 6):
+            lazy = list(elimination._carriers(labels, room))
+            assert lazy == sorted(combinations(labels, room), key=shallow_first)
+
+
+GOODNESS_CASES = [
+    (Window(6, 2), PAIR),
+    (Window(6, 2), GoodParams(2, 3, 2, 2)),
+    (Window(5, 4), GoodParams(2, 2, 2, 1)),
+    (Window(4, 6), GoodParams(2, 2, 2, 3)),
+    (Window(4, 6), GoodParams(1, 1, 1, 1)),
+    (Window(13, 4), GoodParams(4, 3, 2, 5)),
+    (Window(3, 1), PAIR),
+    (Window(3, 0), PAIR),
+    (Window(0, 3), GoodParams(2, 2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("window, params", GOODNESS_CASES)
+def test_inline_goodness_matches_is_good(window, params):
+    v = Multivector.zero(window, window.p)
+    projected = good_projection(v, params)
+    assert projected.known == oracle_projection(v, params).known
+    kept = set(projected.known)
+    assert kept
+    for key in combinations(window.elements(), window.p):
+        negatives = [i for i in key if i < 0]
+        absent = [j for j in range(1, window.p + 1) if j not in key]
+        assert (key in kept) == is_good(negatives, absent, params), key
+
+
+def test_inline_goodness_drops_keys_of_both_kinds():
+    # the cases above reject keys for two deep negatives and for two deep gaps
+    reasons = set()
+    for window, params in GOODNESS_CASES:
+        kept = good_projection(Multivector.zero(window, window.p), params).known
+        for key in combinations(window.elements(), window.p):
+            if key not in kept:
+                deep = sum(i <= params.deep_negative for i in key)
+                reasons.add("negative" if deep > 1 else "gap")
+    assert reasons == {"negative", "gap"}
+
+
+@pytest.mark.parametrize("window", [Window(5, 3), Window(12, 2), Window(3, 5), Window(4, 0)])
+def test_diagram_order_matches_young_diagram(window):
+    for key in combinations(window.elements(), window.p):
+        diagram = young_diagram(key, window)
+        assert elimination._diagram_order(key) == (sum(diagram), diagram, key)
+
+
+def test_indistinguishable_pair_stays_stuck():
+    # v and v' differ in the ungood coordinate (-4, -3), lie in Pf(3) and
+    # share every good coordinate, so no recovery from those can tell them
+    # apart; the pass must end stuck on both, not complete to either
+    w = Window(10, 2)
+    e = lambda i: Multivector.basis(w, (i,))
+    v = wedge(e(-4), e(1)) + wedge(e(-5), e(2))
+    twin = v + wedge(e(-4), e(-3))
+    assert v != twin
+    assert in_pf(3, v).member and in_pf(3, twin).member
+    assert good_projection(v, PAIR).known == good_projection(twin, PAIR).known
+    for point in (v, twin):
+        projected = good_projection(point, PAIR)
+        result = reconstruct_all(2, 2, projected)
+        assert result.completed is None
+        assert len(result.stuck) == 18 and (-4, -3) in result.stuck
+        assert result.attempts == 354
+        assert whole(result) == oracle_reconstruct_all(2, 2, projected)
+
+
 # ------------------------------------------------------------- assignment
 
 def test_assignment_validation():
@@ -497,3 +767,15 @@ def test_assignment_missing_list_of_right_length_is_still_compared():
     obj["missing"] = [[-2, -1]]
     with pytest.raises(FormatError):
         assignment_from_obj(obj)
+
+
+def test_assignment_repr_counts_missing_coordinates(monkeypatch):
+    # C(30, 15) = 155,117,520 missing coordinates are counted, not listed
+    def enumerate_all(self):
+        raise AssertionError("missing() was called")
+
+    monkeypatch.setattr(CoordinateAssignment, "missing", enumerate_all)
+    huge = CoordinateAssignment(Window(15, 15), 15, {}, PAIR)
+    assert repr(huge) == "CoordinateAssignment((15,15), known=0, missing=155117520)"
+    small = good_projection(Multivector.zero(Window(4, 2), 2), PAIR)
+    assert repr(small) == "CoordinateAssignment((4,2), known=14, missing=1)"

@@ -338,6 +338,28 @@ def test_dual_membership():
         in_dual_hpf(2, 2, Multivector.zero(w, 3))
 
 
+def test_dual_refutation_names_the_lowest_power_coordinate():
+    # the starred element's square has three coordinates; the certificate
+    # names the lowest, not the first stored or the last
+    w = Window(3, 3)
+    v = (
+        Multivector.basis(w, (-3, -2, 1, 2))
+        + Multivector.basis(w, (-1, 1, 2, 3), 2)
+        + Multivector.basis(w, (-3, -2, -1, 3), 3)
+    )
+    power = wedge_power(hodge_star(v), 2)
+    assert power.support() == ((-3, -2, -1, 1), (-3, 1, 2, 3), (-2, -1, 2, 3))
+    report = in_dual_hpf(2, 2, v)
+    assert not report.member
+    assert report.certificate == {
+        "kind": "nonzero_power",
+        "power": 2,
+        "coordinate": [-3, -2, -1, 1],
+        "value": "6",
+        "side": "dual",
+    }
+
+
 def test_dual_accepts_punctured_top_wedges():
     w = Window(2, 3)
     labels = w.elements()
