@@ -22,14 +22,21 @@ extra labels, which is ascending because the extras lie above I.  A full
 recovery pass clears the denominators of the known values once and reads a
 plain table of ints; every result is still an exact Fraction.
 
-A full recovery enumerates carriers lazily, shallowest first: the
-combinations of the labels above max(I), taken in descending order and each
-reversed, come out ordered by their largest extra label, then the next
-largest, and so on.  It also keeps every denominator that evaluated to a
-value, zero included, until it returns.  Known values are never
-overwritten, and such a denominator has no monomial with an unknown factor
-that a known zero does not silence, so no later value can change it.  A
-denominator that lacked prerequisites is evaluated again next time.
+A full recovery decides each missing coordinate once, in diagram order.
+One pass is enough: every denominator key is tail + (an m-block of extra
+labels) and every numerator key is I with some head labels swapped for
+extra labels, so each prerequisite is elementwise at least I, differs from
+it, and has a strictly smaller Young diagram.  When the pass reaches I,
+every prerequisite is final, either known or a target already stuck, and a
+second pass could change no outcome.
+
+Carriers are enumerated lazily, shallowest first: the combinations of the
+labels above max(I), taken in descending order and each reversed, come out
+ordered by their largest extra label, then the next largest, and so on.
+The pass keeps every denominator that evaluated to a value, zero included,
+until it returns.  Known values are never overwritten, and such a
+denominator has no monomial with an unknown factor that a known zero does
+not silence, so no later value can change it.
 """
 
 import bisect
@@ -47,7 +54,6 @@ from .indices import (
     DimensionMismatch,
     GoodParams,
     Window,
-    ascending_key,
     exact,
     index_set,
     plain_int,
@@ -56,8 +62,8 @@ from .multivector import (
     FormatError,
     Multivector,
     format_errors,
-    parse_fraction,
     read_header,
+    read_terms,
 )
 
 
@@ -107,6 +113,8 @@ class CoordinateAssignment:
         store = {}
         for key, value in known.items():
             iset = index_set(key, window=window)
+            if iset in store:
+                raise ValueError(f"coordinate {iset} is given twice")
             if len(iset) != grade:
                 raise DimensionMismatch(
                     f"coordinate {iset} has size {len(iset)}, expected {grade}"
@@ -332,20 +340,18 @@ def _int_if_integral(value: Fraction):
 def reconstruct_all(
     m: int, l: int, projected: CoordinateAssignment, budget: Optional[int] = None
 ) -> ReconstructionResult:
-    """Recover missing coordinates in diagram order until done or stuck.
+    """Recover missing coordinates in one pass, in diagram order.
 
     Carriers for each target are tried shallowest complement first; they
     are enumerated lazily by _carriers, never sorted or stored.  A carrier
-    that fails with a zero denominator or missing prerequisites is skipped.
-    Passes repeat while progress happens, so coordinates whose prerequisites
-    arrived late get another chance.  budget caps the total number of
-    single-coordinate attempts.
+    that fails with a zero denominator or missing prerequisites is skipped,
+    and a target none of whose carriers succeeds is stuck.  budget caps the
+    total number of single-coordinate attempts; the pass stops when it is
+    spent, and every target not yet recovered is stuck.
 
     The forms are read through cached per-shape row plans.  A denominator
     that evaluated to a value, zero included, is kept for the rest of the
-    call and still counts an attempt when reused: known values are never
-    overwritten, and every monomial with an unknown factor was silenced by
-    a known zero, so it cannot change.
+    call and still counts an attempt when reused.
     """
     plain_int("m", m)
     plain_int("l", l)
@@ -364,33 +370,25 @@ def reconstruct_all(
         key: value.numerator * (scale // value.denominator)
         for key, value in projected._known.items()
     }
-    pending = sorted(projected.missing(), key=_diagram_order)
+    targets = sorted(projected.missing(), key=_diagram_order)
     settled = {}
     attempts = 0
-    exhausted = False
-    progress = True
-    while pending and progress and not exhausted:
-        progress = False
-        for tgt in list(pending):
-            found = None
-            for extra in _carriers(above[tgt[-1]], room):
-                if budget is not None and attempts >= budget:
-                    exhausted = True
-                    break
-                attempts += 1
-                try:
-                    found = _forced_value(m, l, known, tgt, extra, settled)
-                except ReconstructionError:
-                    continue
+    for tgt in targets:
+        for extra in _carriers(above[tgt[-1]], room):
+            if attempts == budget:
                 break
-            if found is not None:
-                known[tgt] = _int_if_integral(found)
-                pending.remove(tgt)
-                progress = True
-            if exhausted:
-                break
-    if pending:
-        return ReconstructionResult(None, tuple(sorted(pending)), attempts)
+            attempts += 1
+            try:
+                found = _forced_value(m, l, known, tgt, extra, settled)
+            except ReconstructionError:
+                continue
+            known[tgt] = _int_if_integral(found)
+            break
+        if attempts == budget:
+            break
+    stuck = tuple(sorted(key for key in targets if key not in known))
+    if stuck:
+        return ReconstructionResult(None, stuck, attempts)
     values = {key: Fraction(value, scale) for key, value in known.items() if value}
     return ReconstructionResult(Multivector._trusted(window, p, values), (), attempts)
 
@@ -416,21 +414,8 @@ def assignment_from_obj(obj) -> CoordinateAssignment:
     params_obj = obj.get("good_params")
     if not isinstance(params_obj, dict) or set(params_obj) != {"m", "l", "r", "s"}:
         raise FormatError(f"bad good_params {params_obj!r}")
-    terms = obj.get("terms")
-    if not isinstance(terms, list):
-        raise FormatError("terms must be a list")
-    known = {}
+    known = read_terms(obj)
     with format_errors():
-        for entry in terms:
-            if not isinstance(entry, dict):
-                raise FormatError("each term must be an object")
-            indices = entry.get("indices")
-            if not isinstance(indices, list):
-                raise FormatError(f"bad indices {indices!r}")
-            key = ascending_key(indices)
-            if key in known:
-                raise FormatError(f"duplicate coordinate {key}")
-            known[key] = parse_fraction(entry.get("coeff"))
         assignment = CoordinateAssignment(window, grade, known, GoodParams(**params_obj))
     declared = obj.get("missing")
     expected = math.comb(window.size, grade) - len(known)

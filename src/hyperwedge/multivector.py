@@ -500,17 +500,25 @@ def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:
     return total
 
 
+def nilpotency_degree(v: Multivector) -> int:
+    """Least l with the l-th power zero; 1 when v itself vanishes."""
+    if v.grade == 0:
+        if v.is_zero():
+            return 1
+        raise ValueError("nonzero scalars have no vanishing power")
+    power = v
+    degree = 1
+    while not power.is_zero():
+        degree += 1
+        power = wedge(power, v)
+    return degree
+
+
 def rank_two_form(v: Multivector) -> int:
     """Largest r with the r-th wedge power nonzero (grade-2 input)."""
     if v.grade != 2:
         raise DimensionMismatch("rank is defined for grade-2 elements")
-    rank = 0
-    power = Multivector(v.window, 0, {(): Fraction(1)})
-    while True:
-        power = wedge(power, v)
-        if power.is_zero():
-            return rank
-        rank += 1
+    return nilpotency_degree(v) - 1
 
 
 # ------------------------------------------------------------------ files
@@ -574,24 +582,36 @@ def multivector_to_obj(v: Multivector) -> dict:
     }
 
 
-def multivector_from_obj(obj) -> Multivector:
-    window, grade = read_header(obj, "multivector")
-    term_part = obj.get("terms")
-    if not isinstance(term_part, list):
+def read_terms(obj) -> dict[IndexSet, Fraction]:
+    """The terms list of a document as {indices: coefficient}.
+
+    Each term's indices ascend strictly, and each term's key lies strictly
+    above the previous one, so the terms are sorted and duplicate-free.
+    """
+    terms = obj.get("terms")
+    if not isinstance(terms, list):
         raise FormatError("terms must be a list")
-    seen: dict[IndexSet, Fraction] = {}
+    out: dict[IndexSet, Fraction] = {}
+    prev = None
     with format_errors():
-        for item in term_part:
+        for item in terms:
             if not isinstance(item, dict):
                 raise FormatError("each term must be an object")
             indices = item.get("indices")
             if not isinstance(indices, list):
                 raise FormatError("indices must be a list of integers")
             key = ascending_key(indices)
-            if key in seen:
-                raise FormatError(f"duplicate term {key}")
-            coeff = parse_fraction(item.get("coeff"))
-            if coeff == 0:
-                raise FormatError("explicit zero coefficients are not canonical")
-            seen[key] = coeff
-        return Multivector(window, grade, seen)
+            if prev is not None and key <= prev:
+                raise FormatError(f"term {key} does not follow {prev}: terms must be sorted")
+            out[key] = parse_fraction(item.get("coeff"))
+            prev = key
+    return out
+
+
+def multivector_from_obj(obj) -> Multivector:
+    window, grade = read_header(obj, "multivector")
+    terms = read_terms(obj)
+    if 0 in terms.values():
+        raise FormatError("explicit zero coefficients are not canonical")
+    with format_errors():
+        return Multivector(window, grade, terms)

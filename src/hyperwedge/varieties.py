@@ -27,6 +27,7 @@ from .multivector import (
     Multivector,
     contract,
     hodge_star,
+    nilpotency_degree,  # re-exported: stays importable from this module
     wedge,
     wedge_power,
 )
@@ -284,20 +285,6 @@ def check_membership(spec: VarietySpec, v: Multivector) -> MembershipReport:
     if spec.kind == "dual_hpf":
         return in_dual_hpf(spec.r, spec.s, v)
     return in_two_sided(spec.m, spec.l, spec.r, spec.s, v)
-
-
-def nilpotency_degree(v: Multivector) -> int:
-    """Least l with the l-th power zero; 1 when v itself vanishes."""
-    if v.grade == 0:
-        if v.is_zero():
-            return 1
-        raise ValueError("nonzero scalars have no vanishing power")
-    power = v
-    degree = 1
-    while not power.is_zero():
-        degree += 1
-        power = wedge(power, v)
-    return degree
 
 
 def _random_element(rng, window: Window, grade: int, terms=4, bound=9) -> Multivector:

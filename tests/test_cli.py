@@ -519,6 +519,15 @@ def test_argv_integers_follow_the_strict_literal_rule(literal, tmp_path, capsys)
     capsys.readouterr()
 
 
+def test_unsorted_terms_exit_2(tmp_path, capsys):
+    obj = multivector_to_obj(split_pair())
+    obj["terms"].reverse()
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(obj))
+    assert main(["star", str(swapped)]) == 2
+    assert "sorted" in capsys.readouterr().err
+
+
 def test_deeply_nested_json_is_a_format_error(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000)

@@ -2,6 +2,7 @@
 import json
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -426,9 +427,10 @@ def test_golden_stuck_sum_of_two_trivectors():
 
 
 # ------------------------------------------------- whole-pass route oracle
-# The recovery pass as it was before carriers became lazy: every key judged
-# by is_good and ordered by young_diagram, every carrier list sorted, every
-# form read row by row with per-row keys, every denominator evaluated anew,
+# The recovery pass as it was before carriers became lazy and the pass ran
+# once: every key judged by is_good and ordered by young_diagram, every
+# carrier list sorted, every form read row by row with per-row keys, every
+# denominator evaluated anew, the pass repeated while it recovers something,
 # and the result re-validated by the public constructors.
 
 def oracle_projection(v, params):
@@ -498,7 +500,15 @@ def int_if_integral(value):
     return value.numerator if value.denominator == 1 else value
 
 
+OracleRun = namedtuple("OracleRun", "completed stuck first_pass_attempts passes late")
+
+
 def oracle_reconstruct_all(m, l, projected, budget=None):
+    """The pass repeated while it recovers something, as the library once ran it.
+
+    Returns the outcome with the attempts of the first pass, the number of
+    passes run, and the coordinates that passes after the first recovered.
+    """
     window = projected.window
     p = projected.grade
     room = m * l
@@ -511,11 +521,13 @@ def oracle_reconstruct_all(m, l, projected, budget=None):
     known = {key: int_if_integral(value * scale) for key, value in projected.known.items()}
     pending = sorted(projected.missing(), key=order)
     carriers = {}
-    attempts = 0
+    attempts = first_pass_attempts = passes = 0
+    late = []
     exhausted = False
     progress = True
     while pending and progress and not exhausted:
         progress = False
+        passes += 1
         for tgt in list(pending):
             top = tgt[-1]
             if top not in carriers:
@@ -536,16 +548,17 @@ def oracle_reconstruct_all(m, l, projected, budget=None):
                 known[tgt] = int_if_integral(found)
                 pending.remove(tgt)
                 progress = True
+                if passes > 1:
+                    late.append(tgt)
             if exhausted:
                 break
-    if pending:
-        return None, tuple(sorted(pending)), attempts
-    values = {key: Fraction(value) / scale for key, value in known.items() if value}
-    return Multivector(window, p, values), (), attempts
-
-
-def whole(result):
-    return result.completed, result.stuck, result.attempts
+        if passes == 1:
+            first_pass_attempts = attempts
+    completed = None
+    if not pending:
+        values = {key: Fraction(value) / scale for key, value in known.items() if value}
+        completed = Multivector(window, p, values)
+    return OracleRun(completed, tuple(sorted(pending)), first_pass_attempts, passes, late)
 
 
 def checked_projection(v, params):
@@ -555,13 +568,21 @@ def checked_projection(v, params):
 
 
 def assert_pass_matches_the_oracle(m, l, projected):
-    full = whole(reconstruct_all(m, l, projected))
-    assert full == oracle_reconstruct_all(m, l, projected)
-    cuts = {0, 1, full[2] // 3, full[2] // 2, full[2] - 1, full[2]}
-    for budget in sorted(b for b in cuts if b >= 0):
-        capped = whole(reconstruct_all(m, l, projected, budget=budget))
-        assert capped == oracle_reconstruct_all(m, l, projected, budget), budget
-    return full
+    """One pass decides as the repeated passes do, in the first pass's attempts.
+
+    Checked for the whole run and for budget cuts; returns the oracle's
+    whole run.
+    """
+    run = oracle_reconstruct_all(m, l, projected)
+    cuts = {0, 1, run.first_pass_attempts // 3, run.first_pass_attempts // 2}
+    cuts |= {run.first_pass_attempts - 1, run.first_pass_attempts, run.first_pass_attempts + 1}
+    for budget in [None] + sorted(b for b in cuts if b >= 0):
+        oracle = run if budget is None else oracle_reconstruct_all(m, l, projected, budget)
+        assert oracle.late == [], budget
+        result = reconstruct_all(m, l, projected, budget=budget)
+        assert (result.completed, result.stuck) == (oracle.completed, oracle.stuck), budget
+        assert result.attempts == oracle.first_pass_attempts, budget
+    return run
 
 
 @pytest.mark.parametrize(
@@ -578,8 +599,7 @@ def test_pass_matches_the_oracle_on_plane_sums(seed, window, l, pairs, pq):
     for _ in range(4):
         v = two_form_point(rng, window, pairs, pq)
         projected = checked_projection(v, GoodParams(2, l, 2, 2))
-        completed, _, _ = assert_pass_matches_the_oracle(2, l, projected)
-        assert completed == v
+        assert assert_pass_matches_the_oracle(2, l, projected).completed == v
 
 
 def test_pass_matches_the_oracle_on_the_deficient_class():
@@ -589,8 +609,8 @@ def test_pass_matches_the_oracle_on_the_deficient_class():
     for pq in (False, True, False):
         v = two_form_point(rng, Window(10, 2), 2, pq)
         projected = checked_projection(v, GoodParams(2, 3, 2, 2))
-        completed, stuck, _ = assert_pass_matches_the_oracle(2, 3, projected)
-        assert completed is None and stuck
+        run = assert_pass_matches_the_oracle(2, 3, projected)
+        assert run.completed is None and run.stuck
 
 
 def test_pass_matches_the_oracle_on_trivector_sums():
@@ -610,8 +630,29 @@ def test_pass_matches_the_oracle_on_trivector_sums():
         full = full_assignment(v, PAIR).known
         shallow = {key: value for key, value in full.items() if key[-1] > -2}
         assignment = CoordinateAssignment(window, 3, shallow, PAIR)
-        completed, _, _ = assert_pass_matches_the_oracle(2, l, assignment)
-        assert completed == v
+        assert assert_pass_matches_the_oracle(2, l, assignment).completed == v
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_pass_matches_the_oracle_on_random_partial_tables(l):
+    # sums of decomposables with 10-60% of the coordinates dropped at random;
+    # each prerequisite of a carrier for I comes before I in diagram order,
+    # so the oracle's later passes must recover nothing
+    rng = random.Random(107 + l)
+    params = GoodParams(2, l, 2, 2)
+    repeated = 0
+    for window in (Window(6, 2), Window(7, 2), Window(8, 2), Window(5, 3), Window(6, 3)):
+        for _ in range(6):
+            v = Multivector.zero(window, window.p)
+            for _ in range(rng.randint(1, 3)):
+                v = v + random_decomposable(rng, window, window.p, bound=5)
+            known = dict(full_assignment(v, params).known)
+            share = rng.uniform(0.1, 0.6)
+            for key in rng.sample(sorted(known), max(1, round(share * len(known)))):
+                del known[key]
+            assignment = CoordinateAssignment(window, window.p, known, params)
+            repeated += assert_pass_matches_the_oracle(2, l, assignment).passes > 1
+    assert repeated
 
 
 def test_lazy_carriers_follow_the_sorted_shallow_first_order():
@@ -682,8 +723,8 @@ def test_indistinguishable_pair_stays_stuck():
         result = reconstruct_all(2, 2, projected)
         assert result.completed is None
         assert len(result.stuck) == 18 and (-4, -3) in result.stuck
-        assert result.attempts == 354
-        assert whole(result) == oracle_reconstruct_all(2, 2, projected)
+        assert result.attempts == 242
+        assert_pass_matches_the_oracle(2, 2, projected)
 
 
 # ------------------------------------------------------------- assignment
@@ -700,6 +741,13 @@ def test_assignment_validation():
         CoordinateAssignment(w, 2, {(1, 2): 0.5}, PAIR)
     ordered = CoordinateAssignment(w, 2, {(2, 1): Fraction(4)}, PAIR)
     assert ordered.known[(1, 2)] == 4
+
+
+def test_assignment_rejects_two_keys_for_one_coordinate():
+    # (1, 2) and (2, 1) name the same coordinate; neither value may win silently
+    w = Window(2, 2)
+    with pytest.raises(ValueError, match="twice"):
+        CoordinateAssignment(w, 2, {(1, 2): Fraction(1), (2, 1): Fraction(5)}, PAIR)
 
 
 def test_assignment_serialization_round_trip():
@@ -729,6 +777,7 @@ def test_assignment_serialization_round_trip():
         lambda obj: obj["terms"].append(dict(obj["terms"][0])),
         lambda obj: obj.update(missing=[]),
         lambda obj: obj["terms"][0].update(indices=[3, -4]),
+        lambda obj: obj.update(terms=obj["terms"][1::-1] + obj["terms"][2:]),
     ],
 )
 def test_assignment_rejects_malformed_documents(mutate):

@@ -446,6 +446,15 @@ def test_multivector_parse_rejects_malformed_input():
             multivector_from_obj(case)
 
 
+def test_multivector_parse_requires_sorted_terms():
+    w = Window(4, 2)
+    obj = multivector_to_obj(basis(w, -4, -3) + basis(w, 1, 2))
+    multivector_from_obj(obj)
+    obj["terms"].reverse()
+    with pytest.raises(FormatError, match="sorted"):
+        multivector_from_obj(obj)
+
+
 def test_vectors_on_random_round_trips():
     rng = random.Random(22)
     for _ in range(20):
