@@ -34,6 +34,7 @@ from .multivector import (
 )
 from .polynomials import WedgePolynomial, poly_to_obj
 from .varieties import (
+    TypeSpec,
     VarietySpec,
     check_membership,
     contraction_membership,
@@ -41,6 +42,7 @@ from .varieties import (
     in_hpf,
     pf_contraction_identically_zero,
     pf_contraction_witness,
+    type_witness,
 )
 
 DEFAULT_TRIALS = 64
@@ -191,18 +193,6 @@ def cmd_contract(args) -> int:
 
 # -------------------------------------------------------------------- demos
 
-def _sample(rng: random.Random, window: Window, grade: int) -> Multivector:
-    pool = list(itertools.combinations(window.elements(), grade))
-    while True:
-        terms = {}
-        for key in rng.sample(pool, min(3, len(pool))):
-            c = rng.randint(-9, 9)
-            if c:
-                terms[key] = Fraction(c)
-        if terms:
-            return Multivector(window, grade, terms)
-
-
 def _demo_gr24(check, say):
     w = Window(0, 4)
     display = WedgePolynomial(
@@ -238,7 +228,7 @@ def _demo_lift42(check, say):
     inside = 0
     returned = 0
     for _ in range(20):
-        v = _sample(rng, w, 3)
+        v = type_witness(TypeSpec((3,), 1), w, rng.getrandbits(48))
         lifted = transition("j", v)
         if in_hpf(4, 2, lifted).member:
             inside += 1

@@ -13,12 +13,11 @@ indices, the unique value forcing the carrier form to vanish is -Q/D.
 Since I sits at the bottom of the carrier, the collected sign on x_I * D
 is +1; the splitting is verified symbolically in the test suite.
 
-Both forms are evaluated straight from the cached partition rows of their
-shape, without building polynomials.  A per-shape plan lists the distinct
-blocks of those rows once, so each evaluation builds one coordinate key
-and does one lookup per block, not per row.  Each block key is spliced, not
-sorted: the block's labels from the head of I, then the rest of I, then its
-extra labels, which is ascending because the extras lie above I.  A full
+Both forms are read through the per-shape row plan of the forms module,
+without building polynomials: one coordinate key and one lookup per
+distinct block, not per row.  Each block key is spliced, not sorted: the
+block's labels from the head of I, then the rest of I, then its extra
+labels, which is ascending because the extras lie above I.  A full
 recovery pass clears the denominators of the known values once and reads a
 plain table of ints; every result is still an exact Fraction.
 
@@ -44,12 +43,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Optional
 
-from .forms import _partition_table
+from .forms import _row_plan, _row_sum
 from .indices import (
     DimensionMismatch,
     GoodParams,
@@ -185,47 +182,14 @@ def good_projection(v: Multivector, params: GoodParams) -> CoordinateAssignment:
     return CoordinateAssignment._trusted(window, known, params)
 
 
-@cache
-def _known_plan(count: int, m: int, split: int, gap: int):
-    """The m-block rows of member positions 1..count, read through their blocks.
-
-    The members are head + extra with |head| = split, and a tail of length
-    gap joins every block.  Returns, per distinct block, the positions of
-    its key in head + tail + extra, and the rows as (factor getter, bitmask
-    of the row's block ids, sign), minus the rows whose first block is the
-    whole head.  A getter reads the row's block values plus the constant 1
-    stored after them, so it returns a tuple even for a one-block row.
-    """
-    head = tuple(range(1, split + 1))
-    ids = {}
-    rows = []
-    for blocks, sign in _partition_table(count, m):
-        if blocks[0] != head:
-            rows.append((tuple(ids.setdefault(b, len(ids)) for b in blocks), sign))
-    one = len(ids)
-    rows = tuple(
-        (itemgetter(*row, one), sum(1 << b for b in row), sign) for row, sign in rows
-    )
-    tail = tuple(range(split, split + gap))
-    positions = tuple(
-        tuple(q - 1 for q in block if q <= split)
-        + tail
-        + tuple(q - 1 + gap for q in block if q > split)
-        for block in ids
-    )
-    return positions, rows
-
-
-def _form_on_known(m: int, degree: int, known, head, tail, extra):
+def _form_on_known(m: int, known, head, tail, extra):
     """The width-m form on head + extra, tail in every block, read off known.
 
     Rows whose first block is the whole head hold x_(head + tail) and are
     skipped.  A known-zero factor silences its monomial even beside an
     unknown one; unknown factors of the other monomials are reported together.
     """
-    if m % 2 and degree >= 2:  # the symmetrized sum cancels, as in forms
-        return 0
-    positions, rows = _known_plan(len(head) + len(extra), m, len(head), len(tail))
+    positions, rows = _row_plan(len(head) + len(extra), m, len(head), len(tail))
     label = (head + tail + extra).__getitem__
     keys = [tuple(map(label, block)) for block in positions]
     values = [known.get(key) for key in keys]
@@ -244,10 +208,8 @@ def _form_on_known(m: int, degree: int, known, head, tail, extra):
             raise MissingCoordinates(
                 sorted(key for b, key in enumerate(keys) if needed >> b & 1)
             )
-        # every row with an unknown factor also has a known zero
-        values = [value or 0 for value in values]
-    values.append(1)
-    return sum(sign * math.prod(factors(values)) for factors, _, sign in rows)
+    # past the check, every row with an unknown factor has a known zero too
+    return _row_sum(rows, values)
 
 
 def _forced_value(m: int, l: int, known, target, extra, settled: dict) -> Fraction:
@@ -259,13 +221,13 @@ def _forced_value(m: int, l: int, known, target, extra, settled: dict) -> Fracti
     head, tail = target[:m], target[m:]
     denominator = settled.get((tail, extra))
     if denominator is None:
-        denominator = _form_on_known(m, l, known, (), tail, extra)
+        denominator = _form_on_known(m, known, (), tail, extra)
         settled[tail, extra] = denominator
     if not denominator:
         raise ZeroDenominator(
             f"denominator form on {extra} vanishes at the known coordinates"
         )
-    numerator = _form_on_known(m, l + 1, known, head, tail, extra)
+    numerator = _form_on_known(m, known, head, tail, extra)
     return Fraction(-numerator) / denominator
 
 

@@ -17,13 +17,19 @@ sign: a term's sign is that of its blocks concatenated, and in the pivot
 expansion the block through the pivot moves to the front at the cost of
 shuffle_sign([block, rest]), since even-width blocks commute.  The test
 suite assembles both identities symbolically against the full forms.
+
+Every partition-row sum (hpf_eval, hpf_polynomial, and recovery in the
+elimination module) reads one cached per-shape row plan, _row_plan; only
+hpf_multilinear, which survives odd widths, reads the full partition table.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .indices import (
@@ -87,28 +93,66 @@ def _partition_table(count: int, m: int):
     return tuple(enumerate_partitions(range(1, count + 1), m))
 
 
-def _partitions(spec: FormSpec):
-    """Signed position partitions of the form's terms; none when they cancel.
+@cache
+def _row_plan(count: int, m: int, split: int, gap: int):
+    """The form's signed rows on member positions 1..count, read through blocks.
 
-    Only the per-shape table is cached: keys are relabelled on every call,
-    so memory does not grow with the member sets and tails evaluated.
+    The members are head + extra with |head| = split, and a tail of length
+    gap joins every block.  Returns, per distinct block, the positions of
+    its labels in head + tail + extra, and the rows as (factor getter,
+    bitmask of the row's block ids, sign), minus the rows whose first block
+    is the whole head.  So an evaluation builds one key and does one lookup
+    per block, not per row.  A getter reads the row's block entries plus
+    the one entry appended after them, so it returns a tuple even for a
+    one-block row.  At odd width and degree two or more the symmetrized sum
+    collapses to zero, so the plan has no rows.  Only shapes are cached, so
+    memory does not grow with the member sets and tails evaluated.
     """
-    if spec.m % 2 and spec.l >= 2:
-        return ()
-    return _partition_table(len(spec.indices), spec.m)
+    if m % 2 and count >= 2 * m:
+        return (), ()
+    head = tuple(range(1, split + 1))
+    ids = {}
+    rows = []
+    for blocks, sign in _partition_table(count, m):
+        if blocks[0] != head:
+            rows.append((tuple(ids.setdefault(b, len(ids)) for b in blocks), sign))
+    end = len(ids)
+    rows = tuple(
+        (itemgetter(*row, end), sum(1 << b for b in row), sign) for row, sign in rows
+    )
+    tail = tuple(range(split, split + gap))
+    positions = tuple(
+        tuple(q - 1 for q in block if q <= split)
+        + tail
+        + tuple(q - 1 + gap for q in block if q > split)
+        for block in ids
+    )
+    return positions, rows
 
 
-def _block_key(spec: FormSpec, block) -> IndexSet:
-    """Coordinate of one block of member positions, with the tail."""
-    return tuple(sorted(tuple(spec.indices[q - 1] for q in block) + spec.tail))
+def _row_sum(rows, values: list):
+    """Signed sum of the rows' products of values, one value per block.
+
+    A row with a falsy value (zero, or None for an unread one) adds nothing
+    and is never multiplied out.  values gets the getters' trailing 1.
+    """
+    dead = sum(1 << b for b, value in enumerate(values) if not value)
+    values.append(1)
+    return sum(sign * math.prod(factors(values)) for factors, mask, sign in rows if not mask & dead)
+
+
+def _spec_plan(spec: FormSpec):
+    """The form's row plan with each block's key, sorted: a tail may sit among the members."""
+    positions, rows = _row_plan(len(spec.indices), spec.m, 0, len(spec.tail))
+    label = (spec.tail + spec.indices).__getitem__
+    return [tuple(sorted(map(label, block))) for block in positions], rows
 
 
 def hpf_polynomial(spec: FormSpec) -> WedgePolynomial:
     """The form as a polynomial in size-(m + |tail|) coordinates."""
-    terms = {
-        tuple(_block_key(spec, block) for block in blocks): Fraction(sign)
-        for blocks, sign in _partitions(spec)
-    }
+    keys, rows = _spec_plan(spec)
+    keys.append(())
+    terms = {factors(keys)[:-1]: Fraction(sign) for factors, _, sign in rows}
     return WedgePolynomial(spec.grade, terms, None, spec.label)
 
 
@@ -120,20 +164,8 @@ def hpf_eval(spec: FormSpec, v: Multivector) -> Fraction:
         )
     if not v.window.contains_set(spec.indices + spec.tail):
         raise DimensionMismatch(f"form labels do not fit window {v.window}")
-    coeffs = {}
-    total = Fraction(0)
-    for blocks, sign in _partitions(spec):
-        value = Fraction(sign)
-        for block in blocks:
-            c = coeffs.get(block)
-            if c is None:
-                c = coeffs[block] = v.coeff(_block_key(spec, block))
-            value *= c
-            if not value:
-                break
-        else:
-            total += value
-    return total
+    keys, rows = _spec_plan(spec)
+    return Fraction(_row_sum(rows, [v._terms.get(key, 0) for key in keys]))
 
 
 def _permanent(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -176,7 +208,7 @@ def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
     combine = _det if spec.m % 2 else _permanent
     total = Fraction(0)
     for blocks, sign in _partition_table(len(spec.indices), spec.m):
-        keys = [_block_key(spec, block) for block in blocks]
+        keys = [tuple(spec.indices[q - 1] for q in block) for block in blocks]
         columns = [[v.coeff(key) for v in vec] for key in keys]
         if any(not any(col) for col in columns):
             continue

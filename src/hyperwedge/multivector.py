@@ -354,18 +354,23 @@ def wedge(u: Multivector, v: Multivector) -> Multivector:
     """Exterior product; terms sharing an index annihilate."""
     if u.window != v.window:
         raise DimensionMismatch(f"windows differ: {u.window} vs {v.window}")
+    return Multivector(u.window, u.grade + v.grade, _wedge_terms(u._terms, v._terms))
+
+
+def _wedge_terms(left: dict, right: dict) -> dict[IndexSet, Fraction]:
+    """Exterior product of two term tables; cancelled entries stay as zeros."""
     acc: dict[IndexSet, Fraction] = {}
-    right = [(key, frozenset(key), coeff) for key, coeff in v._terms.items()]
-    for key_u, coeff_u in u._terms.items():
+    pairs = [(key, frozenset(key), coeff) for key, coeff in right.items()]
+    for key_u, coeff_u in left.items():
         set_u = frozenset(key_u)
-        for key_v, set_v, coeff_v in right:
+        for key_v, set_v, coeff_v in pairs:
             if not set_u.isdisjoint(set_v):
                 continue
             merged, sign = _merge_sorted(key_u, key_v)
             contrib = coeff_u * coeff_v * sign
             prior = acc.get(merged)
             acc[merged] = contrib if prior is None else prior + contrib
-    return Multivector(u.window, u.grade + v.grade, acc)
+    return acc
 
 
 def _merge_sorted(left: IndexSet, right: IndexSet) -> tuple[IndexSet, int]:
@@ -473,31 +478,23 @@ def hodge_star(v: Multivector) -> Multivector:
 
 
 def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:
-    """Apply the grade-wise extension of a linear map (invertible or not)."""
+    """Apply the grade-wise extension of a linear map (invertible or not).
+
+    Each term's image, the wedge of its labels' columns, adds into one table.
+    """
     if m.window != v.window:
         raise DimensionMismatch("matrix and multivector windows differ")
-    images: dict[int, Multivector] = {}
-
-    def image(label: int) -> Multivector:
-        cached = images.get(label)
-        if cached is None:
-            cached = Multivector(
-                v.window, 1, {(r,): c for r, c in m.column(label).items()}
-            )
-            images[label] = cached
-        return cached
-
-    total = Multivector.zero(v.window, v.grade)
+    columns: dict[int, dict] = {}
+    total: dict[IndexSet, Fraction] = {}
     for key, coeff in v._terms.items():
-        part = Multivector(v.window, 0, {(): coeff})
+        part = {(): coeff}
         for label in key:
-            part = wedge(part, image(label))
-            if part.is_zero():
-                break
-        if part.grade != v.grade:
-            part = Multivector.zero(v.window, v.grade)
-        total = total + part
-    return total
+            if label not in columns:
+                columns[label] = {(r,): c for r, c in m.column(label).items()}
+            part = _wedge_terms(part, columns[label])
+        for image, c in part.items():
+            total[image] = total.get(image, 0) + c
+    return Multivector(v.window, v.grade, total)
 
 
 def nilpotency_degree(v: Multivector) -> int:
@@ -582,29 +579,36 @@ def multivector_to_obj(v: Multivector) -> dict:
     }
 
 
-def read_terms(obj) -> dict[IndexSet, Fraction]:
-    """The terms list of a document as {indices: coefficient}.
+def _index_key(item) -> tuple[IndexSet, IndexSet]:
+    """A multivector term's indices, as its key and its place in the order."""
+    indices = item.get("indices")
+    if not isinstance(indices, list):
+        raise FormatError("indices must be a list of integers")
+    key = ascending_key(indices)
+    return key, key
 
-    Each term's indices ascend strictly, and each term's key lies strictly
-    above the previous one, so the terms are sorted and duplicate-free.
+
+def read_terms(obj, read_key=_index_key) -> dict:
+    """The terms list of a document as {key: coefficient}.
+
+    read_key turns one term object into its key and the key's place in the
+    document order; each term's place lies strictly above the previous one,
+    so the terms are sorted and duplicate-free.
     """
     terms = obj.get("terms")
     if not isinstance(terms, list):
         raise FormatError("terms must be a list")
-    out: dict[IndexSet, Fraction] = {}
+    out = {}
     prev = None
     with format_errors():
         for item in terms:
             if not isinstance(item, dict):
                 raise FormatError("each term must be an object")
-            indices = item.get("indices")
-            if not isinstance(indices, list):
-                raise FormatError("indices must be a list of integers")
-            key = ascending_key(indices)
-            if prev is not None and key <= prev:
+            key, place = read_key(item)
+            if prev is not None and place <= prev:
                 raise FormatError(f"term {key} does not follow {prev}: terms must be sorted")
             out[key] = parse_fraction(item.get("coeff"))
-            prev = key
+            prev = place
     return out
 
 

@@ -22,8 +22,8 @@ from .multivector import (
     FormatError,
     Multivector,
     format_errors,
-    parse_fraction,
     read_header,
+    read_terms,
 )
 
 Monomial = tuple[IndexSet, ...]
@@ -233,27 +233,25 @@ def poly_to_obj(p: WedgePolynomial) -> dict:
     }
 
 
+def _monomial_key(item) -> tuple[Monomial, tuple[int, Monomial]]:
+    """A term's monomial, factors ascending with repeats, and its place (degree, monomial)."""
+    factors = item.get("factors")
+    if not isinstance(factors, list) or not all(isinstance(f, list) for f in factors):
+        raise FormatError("factors must be a list of integer lists")
+    mono = tuple(ascending_key(f) for f in factors)
+    if any(a > b for a, b in zip(mono, mono[1:])):
+        raise FormatError(f"factors {list(mono)} must be listed in ascending order")
+    return mono, (len(mono), mono)
+
+
 def poly_from_obj(obj) -> WedgePolynomial:
+    """Strict inverse of poly_to_obj; any defect, disorder included, raises FormatError."""
     window, grade = read_header(obj, "polynomial", null_window=True)
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise FormatError("label must be null or a string")
-    term_part = obj.get("terms")
-    if not isinstance(term_part, list):
-        raise FormatError("terms must be a list")
-    seen: dict[Monomial, Fraction] = {}
+    terms = read_terms(obj, _monomial_key)
+    if 0 in terms.values():
+        raise FormatError("explicit zero coefficients are not canonical")
     with format_errors():
-        for item in term_part:
-            if not isinstance(item, dict):
-                raise FormatError("each term must be an object")
-            coeff = parse_fraction(item.get("coeff"))
-            if coeff == 0:
-                raise FormatError("explicit zero coefficients are not canonical")
-            factors = item.get("factors")
-            if not isinstance(factors, list) or not all(isinstance(f, list) for f in factors):
-                raise FormatError("factors must be a list of integer lists")
-            mono = monomial(factors)
-            if mono in seen:
-                raise FormatError(f"duplicate monomial {mono}")
-            seen[mono] = coeff
-        return WedgePolynomial(grade, seen, window, label)
+        return WedgePolynomial(grade, terms, window, label)

@@ -34,6 +34,7 @@ from .multivector import (
 from .polynomials import poly_eval
 
 _ENTRY_BOUND = 2**19
+_WITNESS_TERMS, _WITNESS_BOUND = 4, 9  # terms per witness factor, |coefficient| cap
 
 _KINDS = ("grassmannian", "pf", "hpf", "dual_hpf", "two_sided")
 
@@ -287,11 +288,11 @@ def check_membership(spec: VarietySpec, v: Multivector) -> MembershipReport:
     return in_two_sided(spec.m, spec.l, spec.r, spec.s, v)
 
 
-def _random_element(rng, window: Window, grade: int, terms=4, bound=9) -> Multivector:
+def _random_element(rng, window: Window, grade: int) -> Multivector:
     keys = list(combinations(window.elements(), grade))
     data = {}
-    for key in rng.sample(keys, min(terms, len(keys))):
-        c = rng.randint(-bound, bound)
+    for key in rng.sample(keys, min(_WITNESS_TERMS, len(keys))):
+        c = rng.randint(-_WITNESS_BOUND, _WITNESS_BOUND)
         if c:
             data[key] = Fraction(c)
     return Multivector(window, grade, data)

@@ -236,6 +236,17 @@ def test_ideal_dual_appends_pulled_back_equations(capsys):
         assert poly_eval(q, v) == hpf_eval(dual_spec, hodge_star(v))
 
 
+def test_ideal_dual_bundle_round_trips(capsys):
+    rc, doc = run_ideal(
+        capsys, "--form", "2", "2", "--window", "3", "3", "--dual", "2", "2"
+    )
+    assert rc == 0
+    labels = {eq["label"].split("(")[0] for eq in doc["equations"]}
+    assert labels == {"hpf", "dual"}
+    for eq in doc["equations"]:
+        assert json.dumps(poly_to_obj(poly_from_obj(eq))) == json.dumps(eq)
+
+
 def test_ideal_dual_trivial_side(capsys):
     rc, doc = run_ideal(
         capsys, "--form", "2", "2", "--window", "2", "2", "--dual", "4", "2"

@@ -113,12 +113,31 @@ def test_term_counts_match_partition_counts():
 
 def test_eval_agrees_with_polynomial_evaluation():
     rng = random.Random(11)
-    for m, l, window in ((2, 2, Window(1, 3)), (2, 3, Window(2, 4)), (4, 2, Window(4, 4))):
-        spec = FormSpec(m, l, window.elements()[: m * l])
+    cases = (
+        (Window(1, 3), FormSpec(2, 2, (-1, 1, 2, 3))),
+        (Window(2, 4), FormSpec(2, 3, (-2, -1, 1, 2, 3, 4))),
+        (Window(4, 4), FormSpec(4, 2, (-4, -3, -2, -1, 1, 2, 3, 4))),
+        # relative forms: tail below, between and above the members
+        (Window(2, 3), FormSpec(2, 2, (-1, 1, 2, 3), (-2,))),
+        (Window(2, 3), FormSpec(2, 2, (-2, -1, 2, 3), (1,))),
+        (Window(2, 4), FormSpec(2, 2, (-2, 1, 2, 4), (-1, 3))),
+        (Window(1, 4), FormSpec(2, 2, (-1, 1, 2, 3), (4,))),
+        (Window(3, 4), FormSpec(2, 3, (-3, -1, 1, 2, 3, 4), (-2,))),
+        # odd widths at degree one and at degree two or more
+        (Window(2, 3), FormSpec(3, 1, (-2, 1, 3))),
+        (Window(2, 3), FormSpec(1, 1, (2,), (-1, 3))),
+        (Window(2, 4), FormSpec(3, 2, (-2, -1, 1, 2, 3, 4))),
+        (Window(1, 3), FormSpec(1, 3, (-1, 2, 3), (1,))),
+    )
+    for window, spec in cases:
         poly = hpf_polynomial(spec).with_window(window)
+        nonzero = 0
         for _ in range(15):
-            v = random_multivector(rng, window, m)
-            assert hpf_eval(spec, v) == poly_eval(poly, v)
+            v = random_multivector(rng, window, spec.grade, max_terms=20)
+            value = hpf_eval(spec, v)
+            assert value == poly_eval(poly, v)
+            nonzero += value != 0
+        assert nonzero > 0 or (spec.m % 2 and spec.l >= 2)
 
 
 def test_eval_known_values():

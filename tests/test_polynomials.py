@@ -208,6 +208,7 @@ def test_serialization_round_trip_is_bit_exact():
         2,
         {
             ((-2, 1), (1, 3)): Fraction(3, 7),
+            ((1, 3), (1, 3)): 5,
             ((-2, -1),): -2,
             (): Fraction(1, 2),
         },
@@ -249,6 +250,23 @@ def test_serialization_term_order_is_canonical():
         ]},
         {"window": [0, 3], "grade": 2, "label": None, "terms": [{"coeff": "1", "factors": [[1, 4]]}]},
         {"window": None, "grade": 2, "label": None, "terms": [{"coeff": "1", "factors": [[1, 1.5]]}]},
+        # out of poly_to_obj's order: swapped factors, swapped terms, degree
+        # descending, one monomial twice
+        {"window": None, "grade": 2, "label": None, "terms": [
+            {"coeff": "1", "factors": [[3, 4], [1, 2]]},
+        ]},
+        {"window": None, "grade": 2, "label": None, "terms": [
+            {"coeff": "-1", "factors": [[1, 3], [2, 4]]},
+            {"coeff": "1", "factors": [[1, 2], [3, 4]]},
+        ]},
+        {"window": None, "grade": 2, "label": None, "terms": [
+            {"coeff": "1", "factors": [[1, 2], [3, 4]]},
+            {"coeff": "2", "factors": [[1, 2]]},
+        ]},
+        {"window": None, "grade": 2, "label": None, "terms": [
+            {"coeff": "1", "factors": [[1, 2], [3, 4]]},
+            {"coeff": "2", "factors": [[1, 2], [3, 4]]},
+        ]},
     ],
 )
 def test_parser_rejects_malformed_documents(doc):
