@@ -102,10 +102,11 @@ def _row_plan(count: int, m: int, split: int, gap: int):
     its labels in head + tail + extra, and the rows as (factor getter,
     bitmask of the row's block ids, sign), minus the rows whose first block
     is the whole head.  So an evaluation builds one key and does one lookup
-    per block, not per row.  A getter reads the row's block entries plus
-    the one entry appended after them, so it returns a tuple even for a
-    one-block row.  At odd width and degree two or more the symmetrized sum
-    collapses to zero, so the plan has no rows.  Only shapes are cached, so
+    per block, not per row.  A getter returns the row's factors as a
+    sequence; a one-block row reads a one-entry slice, since itemgetter of
+    a single index would return the bare entry.  At odd width and degree
+    two or more the symmetrized sum collapses to zero, so the plan has no
+    rows.  Only shapes are cached, so
     memory does not grow with the member sets and tails evaluated.
     """
     if m % 2 and count >= 2 * m:
@@ -116,9 +117,13 @@ def _row_plan(count: int, m: int, split: int, gap: int):
     for blocks, sign in _partition_table(count, m):
         if blocks[0] != head:
             rows.append((tuple(ids.setdefault(b, len(ids)) for b in blocks), sign))
-    end = len(ids)
     rows = tuple(
-        (itemgetter(*row, end), sum(1 << b for b in row), sign) for row, sign in rows
+        (
+            itemgetter(*row) if len(row) > 1 else itemgetter(slice(row[0], row[0] + 1)),
+            sum(1 << b for b in row),
+            sign,
+        )
+        for row, sign in rows
     )
     tail = tuple(range(split, split + gap))
     positions = tuple(
@@ -130,15 +135,16 @@ def _row_plan(count: int, m: int, split: int, gap: int):
     return positions, rows
 
 
-def _row_sum(rows, values: list):
+def _row_sum(rows, values: Sequence):
     """Signed sum of the rows' products of values, one value per block.
 
     A row with a falsy value (zero, or None for an unread one) adds nothing
-    and is never multiplied out.  values gets the getters' trailing 1.
+    and is never multiplied out.
     """
     dead = sum(1 << b for b, value in enumerate(values) if not value)
-    values.append(1)
-    return sum(sign * math.prod(factors(values)) for factors, mask, sign in rows if not mask & dead)
+    return sum(
+        math.prod(factors(values), start=sign) for factors, mask, sign in rows if not mask & dead
+    )
 
 
 def _spec_plan(spec: FormSpec):
@@ -151,8 +157,7 @@ def _spec_plan(spec: FormSpec):
 def hpf_polynomial(spec: FormSpec) -> WedgePolynomial:
     """The form as a polynomial in size-(m + |tail|) coordinates."""
     keys, rows = _spec_plan(spec)
-    keys.append(())
-    terms = {factors(keys)[:-1]: Fraction(sign) for factors, _, sign in rows}
+    terms = {tuple(factors(keys)): Fraction(sign) for factors, _, sign in rows}
     return WedgePolynomial(spec.grade, terms, None, spec.label)
 
 

@@ -491,7 +491,9 @@ def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:
         for label in key:
             if label not in columns:
                 columns[label] = {(r,): c for r, c in m.column(label).items()}
-            part = _wedge_terms(part, columns[label])
+            part = {k: c for k, c in _wedge_terms(part, columns[label]).items() if c}
+            if not part:
+                break
         for image, c in part.items():
             total[image] = total.get(image, 0) + c
     return Multivector(v.window, v.grade, total)
@@ -599,16 +601,16 @@ def read_terms(obj, read_key=_index_key) -> dict:
     if not isinstance(terms, list):
         raise FormatError("terms must be a list")
     out = {}
-    prev = None
+    prev = prev_key = None
     with format_errors():
         for item in terms:
             if not isinstance(item, dict):
                 raise FormatError("each term must be an object")
             key, place = read_key(item)
             if prev is not None and place <= prev:
-                raise FormatError(f"term {key} does not follow {prev}: terms must be sorted")
+                raise FormatError(f"term {key} does not follow {prev_key}: terms must be sorted")
             out[key] = parse_fraction(item.get("coeff"))
-            prev = place
+            prev, prev_key = place, key
     return out
 
 

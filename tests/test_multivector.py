@@ -362,6 +362,18 @@ def test_gl_accepts_singular_maps():
     w = Window(0, 2)
     zero = RationalMatrix.from_function(w, lambda r, c: Fraction(0))
     assert gl_apply(zero, basis(w, 1, 2)).is_zero()
+    # equal columns 1 and 2: a minor cancels after the second column wedge
+    rng = random.Random(19)
+    w = Window(0, 4)
+    full = random_matrix(rng, w, 4)
+    m = RationalMatrix.from_function(w, lambda r, c: full.entry(r, 1 if c == 2 else c))
+    v = basis(w, 1, 2, 3) + 2 * basis(w, 1, 3, 4) - basis(w, 2, 3, 4)
+    columns = {c: gl_apply(m, basis(w, c)) for c in w.elements()}
+    expected = Multivector.zero(w, 3)
+    for a, b, c in v.support():
+        expected = expected + v.coeff((a, b, c)) * wedge(wedge(columns[a], columns[b]), columns[c])
+    assert gl_apply(m, basis(w, 1, 2, 3)).is_zero()
+    assert gl_apply(m, v) == expected
 
 
 # ---------------------------------------------------------------- rank

@@ -274,6 +274,18 @@ def test_parser_rejects_malformed_documents(doc):
         poly_from_obj(doc)
 
 
+def test_parser_names_the_previous_monomial():
+    doc = {"window": None, "grade": 2, "label": None, "terms": [
+        {"coeff": "1", "factors": [[1, 2], [3, 4]]},
+        {"coeff": "2", "factors": [[1, 2], [3, 4]]},
+    ]}
+    with pytest.raises(FormatError) as err:
+        poly_from_obj(doc)
+    assert str(err.value) == (
+        "term ((1, 2), (3, 4)) does not follow ((1, 2), (3, 4)): terms must be sorted"
+    )
+
+
 def test_degree_and_zero_queries():
     p = pf_four_display()
     assert p.degree() == 2
