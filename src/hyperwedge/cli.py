@@ -80,7 +80,9 @@ def _parse_covector(window: Window, text: str) -> Covector:
         if not sep:
             raise FormatError(f"bad covector entry {piece!r}; want label=value")
         label = parse_integer(head)
-        entries[label] = entries.get(label, Fraction(0)) + parse_fraction(rest)
+        if label in entries:
+            raise FormatError(f"covector label {label} is given twice")
+        entries[label] = parse_fraction(rest)
     return Covector(window, entries)
 
 

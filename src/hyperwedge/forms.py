@@ -43,7 +43,7 @@ from .indices import (
     shuffle_sign,
     sort_with_sign,
 )
-from .multivector import Multivector, _det
+from .multivector import Multivector, _rank_det
 from .polynomials import WedgePolynomial
 
 
@@ -210,7 +210,6 @@ def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
             )
     if not window.contains_set(spec.indices):
         raise DimensionMismatch(f"form labels do not fit window {window}")
-    combine = _det if spec.m % 2 else _permanent
     total = Fraction(0)
     for blocks, sign in _partition_table(len(spec.indices), spec.m):
         keys = [tuple(spec.indices[q - 1] for q in block) for block in blocks]
@@ -218,7 +217,7 @@ def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
         if any(not any(col) for col in columns):
             continue
         rows = [[columns[j][i] for j in range(len(keys))] for i in range(len(vec))]
-        total += sign * combine(rows)
+        total += sign * (_rank_det(rows)[1] if spec.m % 2 else _permanent(rows))
     return total
 
 

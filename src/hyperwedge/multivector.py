@@ -232,27 +232,30 @@ class Covector:
         return f"<{body} | covector on {self.window}>"
 
 
-def _det(rows: Iterable[Iterable[Fraction]]) -> Fraction:
-    """Bareiss fraction-free determinant (exact; intermediate divisions cancel)."""
+def _rank_det(rows: Iterable[Iterable[Fraction]]) -> tuple[int, Fraction]:
+    """Rank and determinant of a square matrix by one Bareiss echelon pass.
+
+    Each update divides exactly by the previous pivot, and a column with no
+    pivot left is skipped.  The determinant is the swap sign times the last
+    pivot at full rank, and 0 below it.
+    """
     a = [list(row) for row in rows]
     size = len(a)
-    if size == 0:
-        return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
-            if pivot is None:
-                return Fraction(0)
-            a[k], a[pivot] = a[pivot], a[k]
+    sign, prev, rank = 1, Fraction(1), 0
+    for col in range(size):
+        pivot = next((i for i in range(rank, size) if a[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
             sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[-1][-1]
+        top = a[rank]
+        for row in a[rank + 1:]:
+            for j in range(col + 1, size):
+                row[j] = (row[j] * top[col] - row[col] * top[j]) / prev
+        prev = top[col]
+        rank += 1
+    return rank, sign * prev if rank == size else Fraction(0)
 
 
 class RationalMatrix:
@@ -316,29 +319,10 @@ class RationalMatrix:
         return RationalMatrix(self.window, rows)
 
     def det(self) -> Fraction:
-        return _det(self._rows)
+        return _rank_det(self._rows)[1]
 
     def rank(self) -> int:
-        a = [list(row) for row in self._rows]
-        size = len(a)
-        rank = 0
-        row = 0
-        for col in range(size):
-            pivot = next((i for i in range(row, size) if a[i][col]), None)
-            if pivot is None:
-                continue
-            a[row], a[pivot] = a[pivot], a[row]
-            inv = 1 / a[row][col]
-            for i in range(row + 1, size):
-                factor = a[i][col] * inv
-                if factor:
-                    for j in range(col, size):
-                        a[i][j] -= factor * a[row][j]
-            rank += 1
-            row += 1
-            if row == size:
-                break
-        return rank
+        return _rank_det(self._rows)[0]
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):

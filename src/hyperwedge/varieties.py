@@ -31,7 +31,6 @@ from .multivector import (
     wedge,
     wedge_power,
 )
-from .polynomials import poly_eval
 
 _ENTRY_BOUND = 2**19
 _WITNESS_TERMS, _WITNESS_BOUND = 4, 9  # terms per witness factor, |coefficient| cap
@@ -156,28 +155,35 @@ def in_pf(l: int, v: Multivector) -> MembershipReport:
 
 
 def in_grassmannian(v: Multivector) -> MembershipReport:
-    """Check every quadratic exchange relation on the coordinates of v.
+    """Decide decomposability from the products (iota_S v) ^ v.
 
-    Grades 0 and 1 have no relations, and neither does the top grade, so
-    those verdicts come back positive with a zero equation count.
+    For a (g-1)-set S, v contracted by S is the vector u_S, the sum over t
+    outside S of (-1)^#{s in S : s > t} x_(S+t) e_t, and the coefficient of
+    e_T in u_S ^ v is the quadratic exchange relation for (S, T) (Harris,
+    Algebraic Geometry, Lect. 6).  A refutation names the lowest S with a
+    nonzero product and that product's lowest key T: the first violated
+    relation of a scan with S outer and T inner.  A member's count is the
+    C(N, g-1) * C(N, g+1) relations that therefore vanish; grade 0 has none.
     """
-    count = 0
-    if v.grade >= 1:
-        labels = v.window.elements()
-        for small in combinations(labels, v.grade - 1):
-            for large in combinations(labels, v.grade + 1):
-                relation = plucker_relation(small, large, v.window)
-                value = poly_eval(relation, v)
-                count += 1
-                if value:
-                    return MembershipReport(
-                        False,
-                        {
-                            "kind": "violated_form",
-                            "label": relation.label,
-                            "value": str(value),
-                        },
-                    )
+    g = v.grade
+    contracted: dict = {}
+    for key, coeff in v.terms.items():
+        for k, t in enumerate(key):
+            sign = -1 if (g - 1 - k) % 2 else 1
+            # (S, t) comes from the one key S+t, so no entry is summed or zero
+            contracted.setdefault(key[:k] + key[k + 1:], {})[(t,)] = sign * coeff
+    for small in sorted(contracted):
+        product = wedge(Multivector._trusted(v.window, 1, contracted[small]), v)
+        if not product.is_zero():
+            large = product.support()[0]
+            label = plucker_relation(small, large, v.window).label
+            value = product.coeff(large)
+            return MembershipReport(
+                False,
+                {"kind": "violated_form", "label": label, "value": str(value)},
+            )
+    n = v.window.size
+    count = math.comb(n, g - 1) * math.comb(n, g + 1) if g else 0
     return MembershipReport(True, {"kind": "all_forms_vanish", "count": count})
 
 
@@ -331,6 +337,7 @@ def odd_partition_check(
     Needs an odd part in the partition; with all parts even the power can
     survive, so the call is refused rather than answered.
     """
+    plain_int("samples", samples)
     if not any(part % 2 for part in ts.pi):
         raise ValueError("partition has no odd part")
     rng = random.Random(seed)

@@ -455,6 +455,10 @@ def test_contract_error_codes(tmp_path, capsys):
     src = save(tmp_path / "t.json", t)
     assert main(["contract", "--covector", "x=1", src]) == 2
     assert main(["contract", "--covector", "", src]) == 2
+    for repeated in ("3=1,3=2", "3=1,3=-1", "3=0,2=1,3=1"):
+        capsys.readouterr()
+        assert main(["contract", "--covector", repeated, src]) == 2
+        assert "label 3 is given twice" in capsys.readouterr().err
     assert main(["contract", "--covector", "9=1", src]) == 3
     scalar = save(tmp_path / "s.json", Multivector(Window(0, 2), 0, {(): Fraction(7)}))
     assert main(["contract", "--covector", "1=1", scalar]) == 3

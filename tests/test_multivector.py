@@ -408,13 +408,26 @@ def test_rank_two_form_matches_matrix_rank():
 # ---------------------------------------------------------------- matrices
 
 def test_det_and_rank_against_brute_force():
+    # sparse p/q matrices and products through them are mostly singular,
+    # with columns that have no pivot left
     rng = random.Random(20)
-    for n, p in [(0, 2), (1, 2), (2, 2)]:
+    ranks = set()
+    for n, p in [(0, 1), (0, 2), (1, 2), (2, 2)]:
         w = Window(n, p)
         for _ in range(25):
-            m = random_matrix(rng, w, 4)
-            assert m.det() == det_oracle(m)
-            assert m.rank() == rank_oracle(m)
+            density = rng.choice((0.1, 0.3, 0.5))
+            sparse = RationalMatrix.from_function(
+                w,
+                lambda r, c: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                if rng.random() < density
+                else Fraction(0),
+            )
+            low_rank = random_matrix(rng, w, 2).matmul(sparse)
+            for m in (random_matrix(rng, w, 4), sparse, low_rank):
+                assert m.det() == det_oracle(m)
+                assert m.rank() == rank_oracle(m)
+                ranks.add((w.size, m.rank()))
+    assert ranks == {(size, r) for size in range(1, 5) for r in range(size + 1)}
 
 
 def test_invertible_generator_has_nonzero_det():

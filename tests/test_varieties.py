@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from hyperwedge.forms import FormSpec, hpf_eval
+from hyperwedge.forms import FormSpec, hpf_eval, plucker_relation
 from hyperwedge.indices import DimensionMismatch, Window
 from hyperwedge.multivector import (
     Covector,
@@ -18,6 +18,7 @@ from hyperwedge.multivector import (
     wedge,
     wedge_power,
 )
+from hyperwedge.polynomials import poly_eval
 from hyperwedge.varieties import (
     MembershipReport,
     TypeSpec,
@@ -154,6 +155,61 @@ def test_grassmannian_commutes_with_star():
     for _ in range(20):
         v = random_multivector(rng, w, 2, max_terms=3, bound=3)
         assert in_grassmannian(v).member == in_grassmannian(hodge_star(v)).member
+
+
+def scan_in_grassmannian(v):
+    """The former in_grassmannian: every relation's polynomial, S outer, T inner."""
+    count = 0
+    if v.grade >= 1:
+        labels = v.window.elements()
+        for small in combinations(labels, v.grade - 1):
+            for large in combinations(labels, v.grade + 1):
+                relation = plucker_relation(small, large, v.window)
+                value = poly_eval(relation, v)
+                count += 1
+                if value:
+                    return MembershipReport(
+                        False,
+                        {
+                            "kind": "violated_form",
+                            "label": relation.label,
+                            "value": str(value),
+                        },
+                    )
+    return MembershipReport(True, {"kind": "all_forms_vanish", "count": count})
+
+
+def test_grassmannian_matches_the_relation_scan():
+    # decomposables, sums of 2-3 of them and sparse points, all with p/q
+    # coefficients, at every grade of windows with and without negative labels
+    rng = random.Random(91)
+    seen = dict.fromkeys(
+        ("member", "non-member", "p/q value", "negative labels", "grade 0", "grade N"), 0
+    )
+    for _ in range(600):
+        n = rng.randint(0, 3)
+        window = Window(n, rng.randint(1, 6 - n))
+        size = window.size
+        if size >= 4 and rng.random() < 0.7:
+            g = rng.randint(2, size - 2)  # the grades where relations bind
+        else:
+            g = rng.randint(0, size)
+        shape = rng.randrange(3)
+        if shape < 2:
+            v = Multivector.zero(window, g)
+            for _ in range(1 if shape == 0 else rng.randint(2, 3)):
+                v = v + _pq_product(rng, window, g)
+        else:
+            v = random_multivector(rng, window, g, max_terms=rng.randint(1, 8), bound=4)
+            v = v * Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        report = in_grassmannian(v)
+        assert report == scan_in_grassmannian(v)
+        seen["member" if report.member else "non-member"] += 1
+        seen["p/q value"] += "/" in report.certificate.get("value", "")
+        seen["negative labels"] += window.n > 0
+        seen["grade 0"] += g == 0
+        seen["grade N"] += g == size
+    assert seen["non-member"] >= 100 and min(seen.values()) >= 20, seen
 
 
 # ----------------------------------------------------------------- in_hpf
@@ -447,6 +503,9 @@ def test_odd_partition_nilpotency():
     assert odd_partition_check(TypeSpec((1,), 1), 25, Window(2, 2), seed=32)
     with pytest.raises(ValueError):
         odd_partition_check(TypeSpec((2, 2), 1), 5, Window(2, 2), seed=33)
+    for samples in (-3, 0, True, 2.0):
+        with pytest.raises(ValueError, match="samples"):
+            odd_partition_check(TypeSpec((1,), 1), samples, Window(2, 2), seed=34)
 
 
 def test_even_partition_contrast():
