@@ -43,7 +43,7 @@ from .indices import (
     shuffle_sign,
     sort_with_sign,
 )
-from .multivector import Multivector, _rank_det
+from .multivector import Multivector, _rank_det, _star_key
 from .polynomials import WedgePolynomial
 
 
@@ -332,26 +332,19 @@ def pullback_dual(spec: FormSpec, window: Window) -> WedgePolynomial:
 
     Each mirror coordinate x'_K equals sgn(I, I^c) x_I, where I^c is the
     negation of K and I its complement, so substituting factor by factor
-    turns a form on the mirror window into one of full grade here.
+    turns a form on the mirror window into one of full grade here.  The
+    substitution is one-to-one on coordinates, so no two monomials merge.
     """
-    source = hpf_polynomial(spec)
     universe = window.elements()
-    terms: dict[tuple, Fraction] = {}
-    for mono, coeff in source.terms.items():
-        scale = coeff
+    terms = []
+    for mono, coeff in hpf_polynomial(spec).terms.items():
         factors = []
         for key in mono:
-            comp = tuple(sorted(-x for x in key))
-            absent = set(comp)
+            absent = {-x for x in key}
             image = tuple(x for x in universe if x not in absent)
-            scale = scale * shuffle_sign([image, comp])
+            coeff = coeff * _star_key(universe, image)[0]
             factors.append(image)
-        keyed = tuple(sorted(factors))
-        total = terms.get(keyed, Fraction(0)) + scale
-        if total:
-            terms[keyed] = total
-        else:
-            terms.pop(keyed, None)
+        terms.append((factors, coeff))
     label = "dual(" + spec.label[4:]
     return WedgePolynomial(window.p, terms, window, label)
 

@@ -443,6 +443,13 @@ def transition(kind: str, v: Multivector) -> Multivector:
     raise ValueError(f"unknown transition kind {kind!r}; expected one of {TRANSITION_KINDS}")
 
 
+def _star_key(universe: IndexSet, key: IndexSet) -> tuple[int, IndexSet]:
+    """Where the star sends e_key: sgn(I, I^c) and the negated complement I^c."""
+    members = set(key)
+    comp = tuple(x for x in universe if x not in members)
+    return shuffle_sign([key, comp]), tuple(sorted(-x for x in comp))
+
+
 def hodge_star(v: Multivector) -> Multivector:
     """Grade-complementing duality into the mirrored window (p, n).
 
@@ -453,10 +460,7 @@ def hodge_star(v: Multivector) -> Multivector:
     universe = w.elements()
     acc: dict[IndexSet, Fraction] = {}
     for key, coeff in v._terms.items():
-        members = set(key)
-        comp = tuple(x for x in universe if x not in members)
-        sign = shuffle_sign([key, comp])
-        image = tuple(sorted(-x for x in comp))
+        sign, image = _star_key(universe, key)
         acc[image] = coeff * sign
     return Multivector(Window(w.p, w.n), w.size - v.grade, acc)
 

@@ -35,8 +35,6 @@ from .multivector import (
 _ENTRY_BOUND = 2**19
 _WITNESS_TERMS, _WITNESS_BOUND = 4, 9  # terms per witness factor, |coefficient| cap
 
-_KINDS = ("grassmannian", "pf", "hpf", "dual_hpf", "two_sided")
-
 
 @dataclass(frozen=True)
 class VarietySpec:
@@ -49,16 +47,10 @@ class VarietySpec:
     s: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _LOCI:
             raise ValueError(f"unknown variety kind {self.kind!r}")
-        if self.kind == "pf":
-            plain_int("l", self.l)
-        if self.kind in ("hpf", "two_sided"):
-            even_width("m", self.m)
-            plain_int("l", self.l)
-        if self.kind in ("dual_hpf", "two_sided"):
-            even_width("r", self.r)
-            plain_int("s", self.s)
+        for name, check in _LOCI[self.kind][0]:
+            check(name, getattr(self, name))
 
     @classmethod
     def grassmannian(cls) -> "VarietySpec":
@@ -81,15 +73,7 @@ class VarietySpec:
         return cls("two_sided", m=m, l=l, r=r, s=s)
 
     def describe(self) -> str:
-        if self.kind == "grassmannian":
-            return "Gr"
-        if self.kind == "pf":
-            return f"Pf({self.l})"
-        if self.kind == "hpf":
-            return f"HPf({self.m},{self.l})"
-        if self.kind == "dual_hpf":
-            return f"HPf*({self.r},{self.s})"
-        return f"HPf({self.m},{self.l})&HPf*({self.r},{self.s})"
+        return _LOCI[self.kind][1].format(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -131,16 +115,14 @@ class TypeSpec:
         return sum(self.pi)
 
 
-def _power_certificate(power: Multivector, l: int, **extra) -> dict:
-    key = power.support()[0]
-    cert = {
-        "kind": "nonzero_power",
-        "power": l,
-        "coordinate": list(key),
-        "value": str(power.coeff(key)),
-    }
-    cert.update(extra)
-    return cert
+def _lowest_term(product: Multivector) -> tuple:
+    """The lowest support key of a nonzero element and its coefficient.
+
+    Every refutation here names this coordinate, the first one a
+    lexicographic scan of the element's coordinates would find.
+    """
+    key = min(product._terms)
+    return key, product._terms[key]
 
 
 def in_pf(l: int, v: Multivector) -> MembershipReport:
@@ -175,9 +157,8 @@ def in_grassmannian(v: Multivector) -> MembershipReport:
     for small in sorted(contracted):
         product = wedge(Multivector._trusted(v.window, 1, contracted[small]), v)
         if not product.is_zero():
-            large = product.support()[0]
+            large, value = _lowest_term(product)
             label = plucker_relation(small, large, v.window).label
-            value = product.coeff(large)
             return MembershipReport(
                 False,
                 {"kind": "violated_form", "label": label, "value": str(value)},
@@ -206,8 +187,7 @@ def in_hpf(m: int, l: int, v: Multivector) -> MembershipReport:
         return MembershipReport(
             True, {"kind": "zero_power", "power": l, "forms_checked": count}
         )
-    key = power.support()[0]
-    coeff = power.coeff(key)
+    key, coeff = _lowest_term(power)
     cert = {
         "kind": "violated_form",
         "label": FormSpec(m, l, key).label,
@@ -255,7 +235,15 @@ def in_dual_hpf(r: int, s: int, v: Multivector) -> MembershipReport:
     power = wedge_power(hodge_star(v), s)
     if power.is_zero():
         return MembershipReport(True, {"kind": "zero_power", "power": s, "side": "dual"})
-    return MembershipReport(False, _power_certificate(power, s, side="dual"))
+    key, value = _lowest_term(power)
+    cert = {
+        "kind": "nonzero_power",
+        "power": s,
+        "coordinate": list(key),
+        "value": str(value),
+        "side": "dual",
+    }
+    return MembershipReport(False, cert)
 
 
 def in_two_sided(m: int, l: int, r: int, s: int, v: Multivector) -> MembershipReport:
@@ -270,28 +258,36 @@ def in_two_sided(m: int, l: int, r: int, s: int, v: Multivector) -> MembershipRe
     return MembershipReport(primal.member and dual.member, certificate)
 
 
+# kind -> (parameters with their checks, report name, test); the test takes
+# the parameters in this order, then the element
+_LOCI = {
+    "grassmannian": ((), "Gr", in_grassmannian),
+    "pf": ((("l", plain_int),), "Pf({l})", in_pf),
+    "hpf": ((("m", even_width), ("l", plain_int)), "HPf({m},{l})", in_hpf),
+    "dual_hpf": ((("r", even_width), ("s", plain_int)), "HPf*({r},{s})", in_dual_hpf),
+    "two_sided": (
+        (("m", even_width), ("l", plain_int), ("r", even_width), ("s", plain_int)),
+        "HPf({m},{l})&HPf*({r},{s})",
+        in_two_sided,
+    ),
+}
+
+
 def check_membership(spec: VarietySpec, v: Multivector) -> MembershipReport:
     """Run the test for spec's locus on v.
 
     The width-m locus is tested by wedge power at grade m and by its relative
     equations at full window grade; any other grade is a DimensionMismatch.
     """
-    if spec.kind == "grassmannian":
-        return in_grassmannian(v)
-    if spec.kind == "pf":
-        return in_pf(spec.l, v)
-    if spec.kind == "hpf":
-        if v.grade == spec.m:
-            return in_hpf(spec.m, spec.l, v)
-        if v.grade == v.window.p:
-            return in_hpf_component(spec.m, spec.l, v)
-        raise DimensionMismatch(
-            f"grade {v.grade} is neither the locus width {spec.m} "
-            f"nor the window grade {v.window.p}"
-        )
-    if spec.kind == "dual_hpf":
-        return in_dual_hpf(spec.r, spec.s, v)
-    return in_two_sided(spec.m, spec.l, spec.r, spec.s, v)
+    params, _, test = _LOCI[spec.kind]
+    if spec.kind == "hpf" and v.grade != spec.m:
+        if v.grade != v.window.p:
+            raise DimensionMismatch(
+                f"grade {v.grade} is neither the locus width {spec.m} "
+                f"nor the window grade {v.window.p}"
+            )
+        test = in_hpf_component
+    return test(*(getattr(spec, name) for name, _ in params), v)
 
 
 def _random_element(rng, window: Window, grade: int) -> Multivector:
@@ -382,7 +378,7 @@ def contraction_membership(
             current = contract(f, current)
         power = wedge_power(current, l)
         if not power.is_zero():
-            key = power.support()[0]
+            key, value = _lowest_term(power)
             certificate = {
                 "kind": "violated_contraction",
                 "trial": trial,
@@ -391,7 +387,7 @@ def contraction_membership(
                 ],
                 "power": l,
                 "coordinate": list(key),
-                "value": str(power.coeff(key)),
+                "value": str(value),
             }
             return MembershipReport(False, certificate, trials=trials, seed=seed)
     certificate = {

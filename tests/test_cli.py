@@ -386,6 +386,8 @@ def test_member_flag_validation(tmp_path, capsys):
     assert main(["member", "--gr", "--pf", "2", src]) == 2
     assert main(["member", "--max-bound", src]) == 2
     assert main(["member", "--gr", "--form", "2", "2", src]) == 2
+    assert main(["member", "--pf", "2", "--form", "2", "2", src]) == 2
+    assert main(["member", "--form", "2", "2", "--dual", "2", "2", "--max-bound", src]) == 2
     capsys.readouterr()
 
 

@@ -561,6 +561,22 @@ def test_contraction_membership_on_named_points():
     assert good.certificate["entry_bound"] == 2**19
 
 
+def test_contraction_refutation_names_the_lowest_power_coordinate():
+    # recompute the refuting trial's power from the certificate's covectors:
+    # it has seven coordinates, and the certificate names the lowest
+    t, w = sec51_trivector()
+    cert = contraction_membership(2, 3, t, trials=16, seed=41).certificate
+    current = t
+    for entries in cert["covectors"]:
+        f = Covector(w, {label: Fraction(c) for label, c in entries})
+        current = contract(f, current)
+    power = wedge_power(current, cert["power"])
+    assert len(power.support()) == 7
+    low = power.support()[0]
+    assert cert["coordinate"] == list(low)
+    assert cert["value"] == str(power.coeff(low))
+
+
 def test_contraction_membership_determinism_and_errors():
     t, _ = sec51_trivector()
     a = contraction_membership(2, 3, t, trials=8, seed=7)
@@ -615,6 +631,8 @@ def test_variety_spec_validation_and_dispatch():
         VarietySpec.pf(0)
     with pytest.raises(ValueError):
         VarietySpec.two_sided(2, 2, 5, 1)
+    with pytest.raises(ValueError):
+        VarietySpec("nonsense")
 
 
 def test_check_membership_hpf_dispatches_on_grade():
