@@ -70,6 +70,13 @@ class FormSpec:
         object.__setattr__(self, "indices", members)
         object.__setattr__(self, "tail", extra)
 
+    @classmethod
+    def _trusted(cls, m: int, l: int, indices: IndexSet, tail: IndexSet) -> "FormSpec":
+        """Adopt ascending, disjoint, correctly sized labels unchecked."""
+        out = object.__new__(cls)
+        out.__dict__.update(m=m, l=l, indices=indices, tail=tail)
+        return out
+
     @property
     def grade(self) -> int:
         return self.m + len(self.tail)
@@ -315,7 +322,7 @@ def component_form_specs(m: int, l: int, window: Window) -> Iterator[FormSpec]:
         taken = set(chosen)
         pool = tuple(x for x in labels if x not in taken)
         for extra in itertools.combinations(pool, tail_size):
-            yield FormSpec(m, l, chosen, extra)
+            yield FormSpec._trusted(m, l, chosen, extra)
 
 
 def trivial_region(m: int, l: int, window: Window) -> Optional[str]:

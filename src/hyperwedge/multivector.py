@@ -18,12 +18,21 @@ Conventions that fix every sign in the package:
 * the star of e_I is sgn(I, I_complement) times the basis wedge on the
   negated complement, taken in the mirrored window (p, n), with no further
   normalization.
+
+Products run on one integer core, the bitmap representation of basis blades
+(Dorst, Fontijne and Mann, Geometric Algebra for Computer Science, ch. 19):
+label i of window.elements() is bit N-1-i, and a term table is {mask: int}
+over one common denominator D, the lcm of the coefficients' denominators.
+Among keys of one grade, lexicographic order of label tuples is descending
+int order of masks, so max(table) is the lowest key.
 """
 from __future__ import annotations
 
+import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -334,55 +343,89 @@ class RationalMatrix:
 
 # ------------------------------------------------------------------ products
 
+@lru_cache(maxsize=64)
+def _frame(window: Window) -> dict[int, int]:
+    """Each label's bit, in label order; shared, read-only."""
+    return {x: 1 << (window.size - 1 - i) for i, x in enumerate(window.elements())}
+
+
+def _masked(terms: Mapping, mask_of: Callable) -> tuple[dict, int]:
+    """terms as {mask_of(key): int} over the lcm D of their denominators, and D."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {mask_of(key): c.numerator * (den // c.denominator) for key, c in terms.items()}, den
+
+
+def _to_masks(v: Multivector) -> tuple[dict[int, int], int]:
+    bit = _frame(v.window)
+    return _masked(v._terms, lambda key: sum(map(bit.__getitem__, key)))
+
+
+def _labels(window: Window, mask: int) -> IndexSet:
+    return tuple(x for x, b in _frame(window).items() if mask & b)
+
+
+def _from_masks(window: Window, grade: int, table: dict, den: int) -> Multivector:
+    terms = {_labels(window, mask): Fraction(c, den) for mask, c in table.items()}
+    return Multivector._trusted(window, grade, terms)
+
+
+def _lowest(window: Window, table: dict, den: int) -> tuple[IndexSet, Fraction]:
+    """Lowest key of a nonzero table, and its coefficient over den: max(table) by the order fact."""
+    mask = max(table)
+    return _labels(window, mask), Fraction(table[mask], den)
+
+
+def _wedge_masks(left: dict, right: dict) -> dict[int, int]:
+    """Exterior product of two mask tables, zeros dropped.
+
+    e_a ^ e_b is (-1)^k e_(a|b), where k counts the pairs of a bit of a below
+    a bit of b: a label of a after one of b.  Bit j of `below` is the parity
+    of a's bits below j, so k's parity is the popcount of below & b.
+    """
+    acc: dict[int, int] = {}
+    pairs = list(right.items())
+    for a, ca in left.items():
+        below, rest = 0, a
+        while rest:
+            low = rest & -rest
+            below, rest = below ^ -(low << 1), rest ^ low
+        for b, cb in pairs:
+            if not a & b:
+                c = ca * cb
+                acc[a | b] = acc.get(a | b, 0) + (-c if (below & b).bit_count() & 1 else c)
+    return {k: c for k, c in acc.items() if c}
+
+
+def _power_masks(table: dict, l: int) -> dict[int, int]:
+    out = {0: 1}
+    for _ in range(l):
+        out = _wedge_masks(out, table)
+    return out
+
+
+def _contract_masks(weights: dict, table: dict) -> dict[int, int]:
+    """Interior product by {bit: weight}; removing bit t costs the parity of the bits below t."""
+    acc: dict[int, int] = {}
+    for key, c in table.items():
+        for t, w in weights.items():
+            if key & t:
+                x = c * w
+                acc[key ^ t] = acc.get(key ^ t, 0) + (-x if (key & (t - 1)).bit_count() & 1 else x)
+    return {k: c for k, c in acc.items() if c}
+
+
 def wedge(u: Multivector, v: Multivector) -> Multivector:
     """Exterior product; terms sharing an index annihilate."""
     if u.window != v.window:
         raise DimensionMismatch(f"windows differ: {u.window} vs {v.window}")
-    return Multivector(u.window, u.grade + v.grade, _wedge_terms(u._terms, v._terms))
-
-
-def _wedge_terms(left: dict, right: dict) -> dict[IndexSet, Fraction]:
-    """Exterior product of two term tables; cancelled entries stay as zeros."""
-    acc: dict[IndexSet, Fraction] = {}
-    pairs = [(key, frozenset(key), coeff) for key, coeff in right.items()]
-    for key_u, coeff_u in left.items():
-        set_u = frozenset(key_u)
-        for key_v, set_v, coeff_v in pairs:
-            if not set_u.isdisjoint(set_v):
-                continue
-            merged, sign = _merge_sorted(key_u, key_v)
-            contrib = coeff_u * coeff_v * sign
-            prior = acc.get(merged)
-            acc[merged] = contrib if prior is None else prior + contrib
-    return acc
-
-
-def _merge_sorted(left: IndexSet, right: IndexSet) -> tuple[IndexSet, int]:
-    """Merge two ascending disjoint tuples, counting crossing inversions."""
-    merged = []
-    inversions = 0
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            inversions += len(left) - i
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged), (1 if inversions % 2 == 0 else -1)
+    (left, du), (right, dv) = _to_masks(u), _to_masks(v)
+    return _from_masks(u.window, u.grade + v.grade, _wedge_masks(left, right), du * dv)
 
 
 def wedge_power(v: Multivector, l: int) -> Multivector:
     plain_int("power", l, 0)
-    out = Multivector(v.window, 0, {(): Fraction(1)})
-    for _ in range(l):
-        if out.is_zero():
-            return Multivector.zero(v.window, out.grade + v.grade * (l - _))
-        out = wedge(out, v)
-    return out
+    table, den = _to_masks(v)
+    return _from_masks(v.window, v.grade * l, _power_masks(table, l), den**l)
 
 
 def contract(f: Covector, v: Multivector) -> Multivector:
@@ -391,18 +434,9 @@ def contract(f: Covector, v: Multivector) -> Multivector:
         raise DimensionMismatch("covector and multivector windows differ")
     if v.grade == 0:
         raise DimensionMismatch("cannot contract a grade-0 element")
-    acc: dict[IndexSet, Fraction] = {}
-    for key, coeff in v._terms.items():
-        for pos in range(len(key) - 1, -1, -1):
-            weight = f.coeff(key[pos])
-            if not weight:
-                continue
-            sign = -1 if (len(key) - 1 - pos) % 2 else 1
-            rest = key[:pos] + key[pos + 1:]
-            contrib = coeff * weight * sign
-            prior = acc.get(rest)
-            acc[rest] = contrib if prior is None else prior + contrib
-    return Multivector(v.window, v.grade - 1, acc)
+    weights, df = _masked(f._coeffs, _frame(v.window).__getitem__)
+    table, dv = _to_masks(v)
+    return _from_masks(v.window, v.grade - 1, _contract_masks(weights, table), df * dv)
 
 
 # ------------------------------------------------------------------ transitions
@@ -472,19 +506,24 @@ def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:
     """
     if m.window != v.window:
         raise DimensionMismatch("matrix and multivector windows differ")
-    columns: dict[int, dict] = {}
-    total: dict[IndexSet, Fraction] = {}
-    for key, coeff in v._terms.items():
-        part = {(): coeff}
-        for label in key:
-            if label not in columns:
-                columns[label] = {(r,): c for r, c in m.column(label).items()}
-            part = {k: c for k, c in _wedge_terms(part, columns[label]).items() if c}
-            if not part:
-                break
+    bit = _frame(v.window)
+    dm = math.lcm(*(x.denominator for row in m._rows for x in row))
+    columns = {  # in label order, the order of each key's factors
+        b: {bit[r]: x.numerator * (dm // x.denominator) for r, x in m.column(label).items()}
+        for label, b in bit.items()
+    }
+    table, dv = _to_masks(v)
+    total: dict[int, int] = {}
+    for key, coeff in table.items():
+        part = {0: coeff}
+        for b, column in columns.items():
+            if key & b:
+                part = _wedge_masks(part, column)
+                if not part:
+                    break
         for image, c in part.items():
             total[image] = total.get(image, 0) + c
-    return Multivector(v.window, v.grade, total)
+    return _from_masks(v.window, v.grade, {k: c for k, c in total.items() if c}, dv * dm**v.grade)
 
 
 def nilpotency_degree(v: Multivector) -> int:
@@ -493,11 +532,11 @@ def nilpotency_degree(v: Multivector) -> int:
         if v.is_zero():
             return 1
         raise ValueError("nonzero scalars have no vanishing power")
-    power = v
-    degree = 1
-    while not power.is_zero():
+    table = _to_masks(v)[0]
+    power, degree = table, 1
+    while power:
         degree += 1
-        power = wedge(power, v)
+        power = _wedge_masks(power, table)
     return degree
 
 

@@ -34,6 +34,11 @@ def monomial(factors: Iterable[Iterable[int]]) -> Monomial:
     return tuple(sorted(ascending_key(f) for f in factors))
 
 
+def _require_inside(window: Optional[Window], factor: IndexSet):
+    if window is not None and not window.contains_set(factor):
+        raise DimensionMismatch(f"variable {factor} is outside window {window}")
+
+
 class WedgePolynomial:
     """Sparse polynomial over the coordinates of one exterior power."""
 
@@ -56,10 +61,7 @@ class WedgePolynomial:
                     raise DimensionMismatch(
                         f"variable {factor} has size {len(factor)}, expected {grade}"
                     )
-                if window is not None and not window.contains_set(factor):
-                    raise DimensionMismatch(
-                        f"variable {factor} is outside window {window}"
-                    )
+                _require_inside(window, factor)
             coeff = store.get(mono, Fraction(0)) + exact(raw_coeff)
             if coeff:
                 store[mono] = coeff
@@ -72,6 +74,16 @@ class WedgePolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("WedgePolynomial is immutable")
+
+    @classmethod
+    def _trusted(cls, grade: int, terms: dict, window, label) -> "WedgePolynomial":
+        """Adopt a dict of canonical monomials and nonzero Fractions unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "grade", grade)
+        object.__setattr__(out, "window", window)
+        object.__setattr__(out, "label", label)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     @classmethod
     def zero(cls, grade: int, window: Optional[Window] = None) -> "WedgePolynomial":
@@ -104,7 +116,11 @@ class WedgePolynomial:
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def with_window(self, window: Optional[Window]) -> "WedgePolynomial":
-        return WedgePolynomial(self.grade, self._terms, window, self.label)
+        """The same canonical terms, checked only against the new window."""
+        for mono in self._terms:
+            for factor in mono:
+                _require_inside(window, factor)
+        return WedgePolynomial._trusted(self.grade, self._terms, window, self.label)
 
     # ---------------------------------------------------------- arithmetic
 
@@ -199,10 +215,7 @@ def poly_eval(p: WedgePolynomial, v: Multivector) -> Fraction:
     else:
         for mono in p._terms:
             for factor in mono:
-                if not v.window.contains_set(factor):
-                    raise DimensionMismatch(
-                        f"variable {factor} is outside window {v.window}"
-                    )
+                _require_inside(v.window, factor)
     total = Fraction(0)
     for mono, coeff in p._terms.items():
         value = coeff

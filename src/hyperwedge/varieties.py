@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from .forms import (
@@ -25,7 +25,13 @@ from .indices import DimensionMismatch, Window, even_width, plain_int
 from .multivector import (
     Covector,
     Multivector,
-    contract,
+    _contract_masks,
+    _frame,
+    _labels,
+    _lowest,
+    _power_masks,
+    _to_masks,
+    _wedge_masks,
     hodge_star,
     nilpotency_degree,  # re-exported: stays importable from this module
     wedge,
@@ -49,8 +55,13 @@ class VarietySpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _LOCI:
             raise ValueError(f"unknown variety kind {self.kind!r}")
-        for name, check in _LOCI[self.kind][0]:
-            check(name, getattr(self, name))
+        params = dict(_LOCI[self.kind][0])
+        for name in "mlrs":
+            value = getattr(self, name)
+            if name in params:
+                params[name](name, value)
+            elif value is not None:
+                raise ValueError(f"{self.kind} takes no parameter {name}, got {value!r}")
 
     @classmethod
     def grassmannian(cls) -> "VarietySpec":
@@ -115,16 +126,6 @@ class TypeSpec:
         return sum(self.pi)
 
 
-def _lowest_term(product: Multivector) -> tuple:
-    """The lowest support key of a nonzero element and its coefficient.
-
-    Every refutation here names this coordinate, the first one a
-    lexicographic scan of the element's coordinates would find.
-    """
-    key = min(product._terms)
-    return key, product._terms[key]
-
-
 def in_pf(l: int, v: Multivector) -> MembershipReport:
     """Does the l-th wedge power of the two-form vanish?
 
@@ -147,18 +148,17 @@ def in_grassmannian(v: Multivector) -> MembershipReport:
     relation of a scan with S outer and T inner.  A member's count is the
     C(N, g-1) * C(N, g+1) relations that therefore vanish; grade 0 has none.
     """
-    g = v.grade
+    g, w = v.grade, v.window
+    table, den = _to_masks(v)
     contracted: dict = {}
-    for key, coeff in v.terms.items():
-        for k, t in enumerate(key):
-            sign = -1 if (g - 1 - k) % 2 else 1
-            # (S, t) comes from the one key S+t, so no entry is summed or zero
-            contracted.setdefault(key[:k] + key[k + 1:], {})[(t,)] = sign * coeff
-    for small in sorted(contracted):
-        product = wedge(Multivector._trusted(v.window, 1, contracted[small]), v)
-        if not product.is_zero():
-            large, value = _lowest_term(product)
-            label = plucker_relation(small, large, v.window).label
+    for t in _frame(w).values():  # u_S's e_t entry is the e_S coefficient of v contracted by e^t
+        for small, c in _contract_masks({t: 1}, table).items():
+            contracted.setdefault(small, {})[t] = c
+    for small in sorted(contracted, key=lambda s: _labels(w, s)):
+        product = _wedge_masks(contracted[small], table)
+        if product:
+            large, value = _lowest(w, product, den * den)
+            label = plucker_relation(_labels(w, small), large, w).label
             return MembershipReport(
                 False,
                 {"kind": "violated_form", "label": label, "value": str(value)},
@@ -187,7 +187,7 @@ def in_hpf(m: int, l: int, v: Multivector) -> MembershipReport:
         return MembershipReport(
             True, {"kind": "zero_power", "power": l, "forms_checked": count}
         )
-    key, coeff = _lowest_term(power)
+    key, coeff = _lowest(power.window, *_to_masks(power))
     cert = {
         "kind": "violated_form",
         "label": FormSpec(m, l, key).label,
@@ -235,7 +235,7 @@ def in_dual_hpf(r: int, s: int, v: Multivector) -> MembershipReport:
     power = wedge_power(hodge_star(v), s)
     if power.is_zero():
         return MembershipReport(True, {"kind": "zero_power", "power": s, "side": "dual"})
-    key, value = _lowest_term(power)
+    key, value = _lowest(power.window, *_to_masks(power))
     cert = {
         "kind": "nonzero_power",
         "power": s,
@@ -361,29 +361,24 @@ def contraction_membership(
     if v.grade < m:
         raise DimensionMismatch(f"cannot contract grade {v.grade} down to {m}")
     w = v.window
-    labels = w.elements()
+    bit = _frame(w)
+    table, den = _to_masks(v)
     rng = random.Random(seed)
     for trial in range(trials):
-        current = v
+        current = table
         drawn = []
         for _ in range(v.grade - m):
-            f = Covector(
-                w,
-                {
-                    label: Fraction(rng.randrange(-_ENTRY_BOUND, _ENTRY_BOUND))
-                    for label in labels
-                },
-            )
+            f = {x: rng.randrange(-_ENTRY_BOUND, _ENTRY_BOUND) for x in bit}
             drawn.append(f)
-            current = contract(f, current)
-        power = wedge_power(current, l)
-        if not power.is_zero():
-            key, value = _lowest_term(power)
+            current = _contract_masks({bit[x]: c for x, c in f.items() if c}, current)
+        power = _power_masks(current, l)
+        if power:
+            key, value = _lowest(w, power, den**l)
             certificate = {
                 "kind": "violated_contraction",
                 "trial": trial,
                 "covectors": [
-                    [[label, str(c)] for label, c in f.items()] for f in drawn
+                    [[x, str(c)] for x, c in f.items() if c] for f in drawn
                 ],
                 "power": l,
                 "coordinate": list(key),
@@ -406,19 +401,12 @@ def pf_contraction_witness(v: Multivector) -> Optional[Covector]:
     """
     if v.grade != 3:
         raise DimensionMismatch(f"expected a three-form, got grade {v.grade}")
-    labels = v.window.elements()
-
-    def survives(f: Covector) -> bool:
-        return not wedge(v, wedge_power(contract(f, v), 2)).is_zero()
-
-    singles = {i: Covector.dual_basis(v.window, i) for i in labels}
-    for i in labels:
-        if survives(singles[i]):
-            return singles[i]
-    for i, j in combinations(labels, 2):
-        candidate = singles[i] + singles[j]
-        if survives(candidate):
-            return candidate
+    table = _to_masks(v)[0]
+    bits = _frame(v.window).items()
+    for chosen in chain(combinations(bits, 1), combinations(bits, 2)):
+        contracted = _contract_masks({b: 1 for _, b in chosen}, table)
+        if _wedge_masks(table, _power_masks(contracted, 2)):
+            return Covector(v.window, {x: Fraction(1) for x, _ in chosen})
     return None
 
 

@@ -1,0 +1,166 @@
+"""The integer bitmask core against the tuple/Fraction kernel it replaced.
+
+Whole results are compared on seeded points with p/q coefficients, negative
+labels, grade 0, zero operands and sums that cancel.
+"""
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+import tuple_kernel as oracle
+from hyperwedge import varieties
+from hyperwedge.indices import Window
+from hyperwedge.multivector import (
+    Covector,
+    Multivector,
+    RationalMatrix,
+    _frame,
+    _labels,
+    contract,
+    gl_apply,
+    nilpotency_degree,
+    wedge,
+    wedge_power,
+)
+from hyperwedge.varieties import (
+    contraction_membership,
+    in_dual_hpf,
+    in_grassmannian,
+    in_hpf,
+    pf_contraction_witness,
+)
+
+
+def _pq(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _element(rng, window, grade):
+    """Zero, a sparse p/q element, or a sum of p/q products (which may cancel)."""
+    shape = rng.randrange(4)
+    if shape == 0 or grade > window.size:
+        return Multivector.zero(window, grade)
+    if shape == 1 or grade == 0:
+        keys = list(combinations(window.elements(), grade))
+        picks = rng.sample(keys, min(len(keys), rng.randint(1, 6)))
+        return Multivector(window, grade, {key: _pq(rng) for key in picks})
+    out = Multivector.zero(window, grade)
+    for _ in range(shape - 1):
+        term = Multivector(window, 0, {(): _pq(rng)})
+        for _ in range(grade):
+            labels = rng.sample(window.elements(), rng.randint(1, window.size))
+            term = wedge(term, Multivector(window, 1, {(x,): _pq(rng) for x in labels}))
+        out = out + term
+    return out
+
+
+def _window(rng):
+    n = rng.randint(0, 3)
+    return Window(n, rng.randint(1, 6 - n))
+
+
+def test_lexicographic_order_is_descending_mask_order():
+    window = Window(3, 4)
+    for grade in range(window.size + 1):
+        keys = list(combinations(window.elements(), grade))
+        masks = [sum(_frame(window)[x] for x in key) for key in keys]
+        assert masks == sorted(masks, reverse=True)
+        assert [_labels(window, mask) for mask in masks] == keys
+
+
+def test_products_match_the_tuple_kernel():
+    rng = random.Random(2024)
+    seen = dict.fromkeys(
+        ("cancelled", "p/q result", "negative labels", "grade 0", "zero operand"), 0
+    )
+    for _ in range(400):
+        window = _window(rng)
+        gu, gv = rng.randint(0, window.size), rng.randint(0, window.size)
+        u = _element(rng, window, gu)
+        # v = u makes every odd-grade square cancel pair by pair
+        v = u if rng.random() < 0.3 else _element(rng, window, gv)
+        product = wedge(u, v)
+        assert product == oracle.wedge(u, v)
+        seen["cancelled"] += 0 in oracle.wedge_terms(u._terms, v._terms).values()
+        seen["p/q result"] += any(c.denominator > 1 for c in product.terms.values())
+        seen["negative labels"] += window.n > 0
+        seen["grade 0"] += 0 in (u.grade, v.grade)
+        seen["zero operand"] += u.is_zero() or v.is_zero()
+        for l in range(4):
+            assert wedge_power(u, l) == oracle.wedge_power(u, l)
+        if u.grade:
+            labels = rng.sample(window.elements(), rng.randint(0, window.size))
+            f = Covector(window, {x: _pq(rng) for x in labels})
+            assert contract(f, u) == oracle.contract(f, u)
+            assert nilpotency_degree(u) == oracle.nilpotency_degree(u)
+        rows = [[_pq(rng) if rng.random() < 0.6 else 0 for _ in range(window.size)]
+                for _ in range(window.size)]
+        m = RationalMatrix(window, rows)
+        assert gl_apply(m, u) == oracle.gl_apply(m, u)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_locus_reports_match_the_tuple_kernel(monkeypatch):
+    rng = random.Random(2025)
+    refuted = dict.fromkeys(("gr", "hpf", "dual", "contraction"), 0)
+    for _ in range(300):
+        window = _window(rng)
+        g = rng.randint(0, window.size)
+        v = _element(rng, window, g)
+        report = in_grassmannian(v)
+        assert report == oracle.in_grassmannian(v)
+        refuted["gr"] += not report.member
+        m = rng.randint(1, 3)
+        if 1 <= g and m <= g:
+            l = rng.randint(1, 3)
+            trials = rng.randint(1, 6)
+            seed = rng.randrange(1000)
+            report = contraction_membership(m, l, v, trials=trials, seed=seed)
+            assert report == oracle.contraction_membership(m, l, v, trials, seed)
+            refuted["contraction"] += not report.member
+        if g == 3:
+            assert pf_contraction_witness(v) == oracle.pf_contraction_witness(v)
+    for _ in range(150):
+        window = _window(rng)
+        m, l = rng.randint(1, min(3, window.size)), rng.randint(1, 3)
+        v = _element(rng, window, m)
+        u = _element(rng, window, window.size - m)
+        fast = (in_hpf(m, l, v), in_dual_hpf(m, l, u))
+        with monkeypatch.context() as patch:
+            patch.setattr(varieties, "wedge_power", oracle.wedge_power)
+            assert fast == (in_hpf(m, l, v), in_dual_hpf(m, l, u))
+        refuted["hpf"] += not fast[0].member
+        refuted["dual"] += not fast[1].member
+    assert min(refuted.values()) >= 15, refuted
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_contraction_refutations_match(seed):
+    # dense p/q 3- and 4-vectors in (3,3) and (4,4), refuted at trial 0 or later
+    rng = random.Random(seed)
+    verdicts = set()
+    for n, g, m, l in ((3, 3, 2, 2), (4, 4, 2, 2), (3, 4, 1, 2), (4, 3, 2, 3)):
+        window = Window(n, n)
+        keys = combinations(window.elements(), g)
+        v = Multivector(window, g, {key: _pq(rng) for key in keys})
+        report = contraction_membership(m, l, v, trials=4, seed=seed)
+        assert report == oracle.contraction_membership(m, l, v, 4, seed)
+        verdicts.add(report.member)
+    assert False in verdicts
+
+
+def test_trivector_witnesses_match():
+    # sparse +-1 three-forms often need a two-label covector as the witness
+    rng = random.Random(2026)
+    lengths = []
+    for _ in range(300):
+        window = Window(rng.randint(0, 3), rng.randint(3, 5))
+        keys = list(combinations(window.elements(), 3))
+        picks = rng.sample(keys, min(len(keys), rng.randint(2, 5)))
+        v = Multivector(window, 3, {key: Fraction(rng.choice((-1, 1))) for key in picks})
+        witness = pf_contraction_witness(v)
+        assert witness == oracle.pf_contraction_witness(v)
+        lengths.append(0 if witness is None else len(witness.items()))
+    assert min(lengths.count(k) for k in (0, 1, 2)) >= 5, [lengths.count(k) for k in (0, 1, 2)]

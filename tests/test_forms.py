@@ -329,6 +329,11 @@ def test_component_enumeration_structure():
     assert only.tail == ()
     counted = list(component_form_specs(2, 2, Window(2, 4)))
     assert len(counted) == comb(6, 4) * comb(2, 2)
+    # the specs skip the constructor's checks but equal its results
+    for spec in component_form_specs(2, 1, Window(2, 3)):
+        checked = FormSpec(spec.m, spec.l, spec.indices, spec.tail)
+        assert spec == checked and hash(spec) == hash(checked)
+        assert spec.label == checked.label
 
 
 def test_vanishing_locus_is_gl_stable():

@@ -37,6 +37,17 @@ def pf_four_display():
     )
 
 
+def test_with_window_adopts_terms_and_checks_the_window():
+    p = poly_scale(pf_four_display(), Fraction(3, 2))
+    placed = p.with_window(Window(0, 4))
+    assert placed == WedgePolynomial(2, p.terms, Window(0, 4))
+    assert placed.label == p.label and placed.with_window(None) == p
+    with pytest.raises(DimensionMismatch, match="outside window"):
+        p.with_window(Window(2, 3))
+    with pytest.raises(AttributeError):
+        placed.window = None
+
+
 def test_variable_and_monomial_canonicalization():
     p = var(1, 2)
     assert p.grade == 2

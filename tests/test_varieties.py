@@ -633,6 +633,11 @@ def test_variety_spec_validation_and_dispatch():
         VarietySpec.two_sided(2, 2, 5, 1)
     with pytest.raises(ValueError):
         VarietySpec("nonsense")
+    # a parameter the kind does not take is refused, not stored
+    with pytest.raises(ValueError, match="takes no parameter m"):
+        VarietySpec("pf", l=2, m=3)
+    with pytest.raises(ValueError, match="takes no parameter s"):
+        VarietySpec("grassmannian", s="x")
 
 
 def test_check_membership_hpf_dispatches_on_grade():

@@ -1,0 +1,148 @@
+"""The tuple/Fraction product kernel, kept as the oracle for the bitmask core.
+
+Keys are ascending label tuples and coefficients are Fractions throughout:
+every pair of terms builds frozensets, merges the tuples while counting
+crossing inversions, and multiplies Fractions.  Each function mirrors the
+library routine of the same name as it stood before the integer core.
+"""
+import math
+import random
+from fractions import Fraction
+from itertools import combinations
+
+from hyperwedge.forms import plucker_relation
+from hyperwedge.multivector import Covector, Multivector
+from hyperwedge.varieties import MembershipReport
+
+
+def merge_sorted(left, right):
+    """Merge two ascending disjoint tuples, counting crossing inversions."""
+    merged = []
+    inversions = 0
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if left[i] < right[j]:
+            merged.append(left[i])
+            i += 1
+        else:
+            merged.append(right[j])
+            inversions += len(left) - i
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return tuple(merged), (1 if inversions % 2 == 0 else -1)
+
+
+def wedge_terms(left, right):
+    """Exterior product of two term tables; cancelled entries stay as zeros."""
+    acc = {}
+    pairs = [(key, frozenset(key), coeff) for key, coeff in right.items()]
+    for key_u, coeff_u in left.items():
+        set_u = frozenset(key_u)
+        for key_v, set_v, coeff_v in pairs:
+            if not set_u.isdisjoint(set_v):
+                continue
+            merged, sign = merge_sorted(key_u, key_v)
+            acc[merged] = acc.get(merged, 0) + coeff_u * coeff_v * sign
+    return acc
+
+
+def wedge(u, v):
+    assert u.window == v.window
+    return Multivector(u.window, u.grade + v.grade, wedge_terms(u._terms, v._terms))
+
+
+def wedge_power(v, l):
+    out = Multivector(v.window, 0, {(): Fraction(1)})
+    for _ in range(l):
+        out = wedge(out, v)
+    return out
+
+
+def contract(f, v):
+    """Right interior product: removing key[pos] costs (-1)^(labels after it)."""
+    assert f.window == v.window and v.grade > 0
+    acc = {}
+    for key, coeff in v._terms.items():
+        for pos in range(len(key) - 1, -1, -1):
+            weight = f.coeff(key[pos])
+            if weight:
+                sign = -1 if (len(key) - 1 - pos) % 2 else 1
+                rest = key[:pos] + key[pos + 1:]
+                acc[rest] = acc.get(rest, 0) + coeff * weight * sign
+    return Multivector(v.window, v.grade - 1, acc)
+
+
+def gl_apply(m, v):
+    total = {}
+    for key, coeff in v._terms.items():
+        part = {(): coeff}
+        for label in key:
+            column = {(r,): c for r, c in m.column(label).items()}
+            part = {k: c for k, c in wedge_terms(part, column).items() if c}
+        for image, c in part.items():
+            total[image] = total.get(image, 0) + c
+    return Multivector(v.window, v.grade, total)
+
+
+def nilpotency_degree(v):
+    power, degree = v, 1
+    while not power.is_zero():
+        degree += 1
+        power = wedge(power, v)
+    return degree
+
+
+def in_grassmannian(v):
+    """(iota_S v) ^ v for every (g-1)-set S in label order, on tuple keys."""
+    g = v.grade
+    contracted = {}
+    for key, coeff in v.terms.items():
+        for k, t in enumerate(key):
+            sign = -1 if (g - 1 - k) % 2 else 1
+            contracted.setdefault(key[:k] + key[k + 1:], {})[(t,)] = sign * coeff
+    for small in sorted(contracted):
+        product = wedge(Multivector(v.window, 1, contracted[small]), v)
+        if not product.is_zero():
+            large = product.support()[0]
+            label = plucker_relation(small, large, v.window).label
+            value = str(product.coeff(large))
+            return MembershipReport(False, {"kind": "violated_form", "label": label, "value": value})
+    n = v.window.size
+    count = math.comb(n, g - 1) * math.comb(n, g + 1) if g else 0
+    return MembershipReport(True, {"kind": "all_forms_vanish", "count": count})
+
+
+def contraction_membership(m, l, v, trials=64, seed=0):
+    """Each trial on Covector and Multivector objects, Fractions throughout."""
+    w = v.window
+    rng = random.Random(seed)
+    for trial in range(trials):
+        current, drawn = v, []
+        for _ in range(v.grade - m):
+            f = Covector(w, {x: Fraction(rng.randrange(-2**19, 2**19)) for x in w.elements()})
+            drawn.append(f)
+            current = contract(f, current)
+        power = wedge_power(current, l)
+        if not power.is_zero():
+            key = power.support()[0]
+            certificate = {
+                "kind": "violated_contraction",
+                "trial": trial,
+                "covectors": [[[x, str(c)] for x, c in f.items()] for f in drawn],
+                "power": l,
+                "coordinate": list(key),
+                "value": str(power.coeff(key)),
+            }
+            return MembershipReport(False, certificate, trials=trials, seed=seed)
+    certificate = {"kind": "trials_passed", "count": trials, "entry_bound": 2**19}
+    return MembershipReport(True, certificate, trials=trials, seed=seed)
+
+
+def pf_contraction_witness(v):
+    """The first basis covector, then pair sum, with v ^ (f . v)^2 nonzero."""
+    for chosen in [(x,) for x in v.window.elements()] + list(combinations(v.window.elements(), 2)):
+        f = Covector(v.window, dict.fromkeys(chosen, Fraction(1)))
+        if not wedge(v, wedge_power(contract(f, v), 2)).is_zero():
+            return f
+    return None
