@@ -231,35 +231,6 @@ def _forced_value(m: int, l: int, known, target, extra, settled: dict) -> Fracti
     return Fraction(-numerator) / denominator
 
 
-def reconstruct_coordinate(
-    m: int, l: int, assignment: CoordinateAssignment, target, carrier
-) -> Fraction:
-    """Value of x_target forced by the vanishing of the carrier form.
-
-    The carrier must contain the target as its initial subinterval and
-    exactly m*l further indices.  Raises ZeroDenominator when the degree-l
-    form on those extra indices vanishes, MissingCoordinates when needed
-    coordinates are absent.
-    """
-    plain_int("m", m)
-    plain_int("l", l)
-    window = assignment.window
-    p = assignment.grade
-    if p < m:
-        raise DimensionMismatch(f"window grade {p} is below the form width {m}")
-    tgt = index_set(target, window=window)
-    if len(tgt) != p:
-        raise DimensionMismatch(f"target has size {len(tgt)}, expected {p}")
-    car = index_set(carrier, window=window)
-    if len(car) != p + m * l:
-        raise DimensionMismatch(
-            f"carrier needs {p + m * l} indices, got {len(car)}"
-        )
-    if car[:p] != tgt:
-        raise ValueError("target must be the initial subinterval of the carrier")
-    return _forced_value(m, l, assignment._known, tgt, car[p:], {})
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Outcome of a full recovery pass; failure lives in `stuck`."""

@@ -263,11 +263,3 @@ def young_diagram(indices: Iterable[int], window: Window) -> Diagram:
         shifted = i if i > 0 else i + 1
         steps.append(k - shifted)
     return conjugate_partition(tuple(s for s in steps if s > 0))
-
-
-def diagram_leq(a: Iterable[int], b: Iterable[int]) -> bool:
-    """Containment order on diagrams: every row of a fits inside b."""
-    return all(
-        x <= y
-        for x, y in itertools.zip_longest(tuple(a), tuple(b), fillvalue=0)
-    )

@@ -24,7 +24,10 @@ Products run on one integer core, the bitmap representation of basis blades
 label i of window.elements() is bit N-1-i, and a term table is {mask: int}
 over one common denominator D, the lcm of the coefficients' denominators.
 Among keys of one grade, lexicographic order of label tuples is descending
-int order of masks, so max(table) is the lowest key.
+int order of masks, so max(table) is the lowest key.  Locus code reads the
+mask domain only through two entry points that take a Multivector and return
+labels and Fractions: _lowest_power_term (power tests, contracted or not) and
+_plucker_violation (the (iota_S v) ^ v walk).
 """
 from __future__ import annotations
 
@@ -439,6 +442,46 @@ def contract(f: Covector, v: Multivector) -> Multivector:
     return _from_masks(v.window, v.grade - 1, _contract_masks(weights, table), df * dv)
 
 
+# ------------------------------------------------------------------ locus entry points
+
+def _lowest_power_term(v: Multivector, l: int, draws: Iterable = ((),)):
+    """The first draw whose contracted l-th power of v survives, or None.
+
+    Each draw is a sequence of {label: int} covectors applied to v in turn.
+    The result is (index, draw, key, coefficient): the draw's place, the
+    draw, and the lowest surviving key of its power with that key's Fraction.
+    """
+    bit = _frame(v.window)
+    table, den = _to_masks(v)
+    for index, draw in enumerate(draws):
+        current = table
+        for f in draw:
+            current = _contract_masks({bit[x]: c for x, c in f.items() if c}, current)
+        power = _power_masks(current, l)
+        if power:
+            return (index, draw, *_lowest(v.window, power, den**l))
+    return None
+
+
+def _plucker_violation(v: Multivector):
+    """(S, T, value) of the lowest S with (iota_S v) ^ v nonzero, or None.
+
+    T is the product's lowest key and value its coefficient; S runs in label
+    order, not mask order.
+    """
+    w = v.window
+    table, den = _to_masks(v)
+    contracted: dict = {}
+    for t in _frame(w).values():  # u_S's e_t entry is the e_S coefficient of v contracted by e^t
+        for small, c in _contract_masks({t: 1}, table).items():
+            contracted.setdefault(small, {})[t] = c
+    for small in sorted(contracted, key=lambda s: _labels(w, s)):
+        product = _wedge_masks(contracted[small], table)
+        if product:
+            return (_labels(w, small), *_lowest(w, product, den * den))
+    return None
+
+
 # ------------------------------------------------------------------ transitions
 
 TRANSITION_KINDS = ("i", "j", "i_dagger", "j_dagger")
@@ -455,11 +498,11 @@ def transition(kind: str, v: Multivector) -> Multivector:
     """
     w = v.window
     if kind == "i":
-        return Multivector(Window(w.n + 1, w.p), v.grade, dict(v._terms))
+        return Multivector._trusted(Window(w.n + 1, w.p), v.grade, dict(v._terms))
     if kind == "j":
         label = w.p + 1
         wider = Window(w.n, w.p + 1)
-        return Multivector(
+        return Multivector._trusted(
             wider, v.grade + 1, {key + (label,): c for key, c in v._terms.items()}
         )
     if kind == "i_dagger":
@@ -467,13 +510,13 @@ def transition(kind: str, v: Multivector) -> Multivector:
             raise DimensionMismatch("no negative row to drop")
         deepest = -w.n
         kept = {key: c for key, c in v._terms.items() if deepest not in key}
-        return Multivector(Window(w.n - 1, w.p), v.grade, kept)
+        return Multivector._trusted(Window(w.n - 1, w.p), v.grade, kept)
     if kind == "j_dagger":
         if w.p < 1 or v.grade < 1:
             raise DimensionMismatch("need a positive column and positive grade")
         top = w.p
         kept = {key[:-1]: c for key, c in v._terms.items() if key[-1] == top}
-        return Multivector(Window(w.n, w.p - 1), v.grade - 1, kept)
+        return Multivector._trusted(Window(w.n, w.p - 1), v.grade - 1, kept)
     raise ValueError(f"unknown transition kind {kind!r}; expected one of {TRANSITION_KINDS}")
 
 
@@ -496,7 +539,7 @@ def hodge_star(v: Multivector) -> Multivector:
     for key, coeff in v._terms.items():
         sign, image = _star_key(universe, key)
         acc[image] = coeff * sign
-    return Multivector(Window(w.p, w.n), w.size - v.grade, acc)
+    return Multivector._trusted(Window(w.p, w.n), w.size - v.grade, acc)
 
 
 def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:

@@ -25,13 +25,9 @@ from .indices import DimensionMismatch, Window, even_width, plain_int
 from .multivector import (
     Covector,
     Multivector,
-    _contract_masks,
-    _frame,
-    _labels,
-    _lowest,
-    _power_masks,
-    _to_masks,
-    _wedge_masks,
+    _lowest_power_term,
+    _plucker_violation,
+    contract,
     hodge_star,
     nilpotency_degree,  # re-exported: stays importable from this module
     wedge,
@@ -148,22 +144,15 @@ def in_grassmannian(v: Multivector) -> MembershipReport:
     relation of a scan with S outer and T inner.  A member's count is the
     C(N, g-1) * C(N, g+1) relations that therefore vanish; grade 0 has none.
     """
-    g, w = v.grade, v.window
-    table, den = _to_masks(v)
-    contracted: dict = {}
-    for t in _frame(w).values():  # u_S's e_t entry is the e_S coefficient of v contracted by e^t
-        for small, c in _contract_masks({t: 1}, table).items():
-            contracted.setdefault(small, {})[t] = c
-    for small in sorted(contracted, key=lambda s: _labels(w, s)):
-        product = _wedge_masks(contracted[small], table)
-        if product:
-            large, value = _lowest(w, product, den * den)
-            label = plucker_relation(_labels(w, small), large, w).label
-            return MembershipReport(
-                False,
-                {"kind": "violated_form", "label": label, "value": str(value)},
-            )
-    n = v.window.size
+    violation = _plucker_violation(v)
+    if violation is not None:
+        small, large, value = violation
+        label = plucker_relation(small, large, v.window).label
+        return MembershipReport(
+            False,
+            {"kind": "violated_form", "label": label, "value": str(value)},
+        )
+    g, n = v.grade, v.window.size
     count = math.comb(n, g - 1) * math.comb(n, g + 1) if g else 0
     return MembershipReport(True, {"kind": "all_forms_vanish", "count": count})
 
@@ -181,13 +170,13 @@ def in_hpf(m: int, l: int, v: Multivector) -> MembershipReport:
     plain_int("l", l)
     if v.grade != m:
         raise DimensionMismatch(f"locus lives in grade {m}, argument has {v.grade}")
-    power = wedge_power(v, l)
-    if power.is_zero():
+    lowest = _lowest_power_term(v, l)
+    if lowest is None:
         count = math.comb(v.window.size, m * l)
         return MembershipReport(
             True, {"kind": "zero_power", "power": l, "forms_checked": count}
         )
-    key, coeff = _lowest(power.window, *_to_masks(power))
+    _, _, key, coeff = lowest
     cert = {
         "kind": "violated_form",
         "label": FormSpec(m, l, key).label,
@@ -232,10 +221,10 @@ def in_dual_hpf(r: int, s: int, v: Multivector) -> MembershipReport:
         raise DimensionMismatch(
             f"dual locus lives in grade {expected}, argument has {v.grade}"
         )
-    power = wedge_power(hodge_star(v), s)
-    if power.is_zero():
+    lowest = _lowest_power_term(hodge_star(v), s)
+    if lowest is None:
         return MembershipReport(True, {"kind": "zero_power", "power": s, "side": "dual"})
-    key, value = _lowest(power.window, *_to_masks(power))
+    _, _, key, value = lowest
     cert = {
         "kind": "nonzero_power",
         "power": s,
@@ -360,31 +349,27 @@ def contraction_membership(
     plain_int("trials", trials)
     if v.grade < m:
         raise DimensionMismatch(f"cannot contract grade {v.grade} down to {m}")
-    w = v.window
-    bit = _frame(w)
-    table, den = _to_masks(v)
+    labels = v.window.elements()
     rng = random.Random(seed)
-    for trial in range(trials):
-        current = table
-        drawn = []
-        for _ in range(v.grade - m):
-            f = {x: rng.randrange(-_ENTRY_BOUND, _ENTRY_BOUND) for x in bit}
-            drawn.append(f)
-            current = _contract_masks({bit[x]: c for x, c in f.items() if c}, current)
-        power = _power_masks(current, l)
-        if power:
-            key, value = _lowest(w, power, den**l)
-            certificate = {
-                "kind": "violated_contraction",
-                "trial": trial,
-                "covectors": [
-                    [[x, str(c)] for x, c in f.items() if c] for f in drawn
-                ],
-                "power": l,
-                "coordinate": list(key),
-                "value": str(value),
-            }
-            return MembershipReport(False, certificate, trials=trials, seed=seed)
+    draws = (  # lazy: a refutation at trial k draws nothing past it
+        [{x: rng.randrange(-_ENTRY_BOUND, _ENTRY_BOUND) for x in labels}
+         for _ in range(v.grade - m)]
+        for _ in range(trials)
+    )
+    lowest = _lowest_power_term(v, l, draws)
+    if lowest is not None:
+        trial, drawn, key, value = lowest
+        certificate = {
+            "kind": "violated_contraction",
+            "trial": trial,
+            "covectors": [
+                [[x, str(c)] for x, c in f.items() if c] for f in drawn
+            ],
+            "power": l,
+            "coordinate": list(key),
+            "value": str(value),
+        }
+        return MembershipReport(False, certificate, trials=trials, seed=seed)
     certificate = {
         "kind": "trials_passed",
         "count": trials,
@@ -401,12 +386,15 @@ def pf_contraction_witness(v: Multivector) -> Optional[Covector]:
     """
     if v.grade != 3:
         raise DimensionMismatch(f"expected a three-form, got grade {v.grade}")
-    table = _to_masks(v)[0]
-    bits = _frame(v.window).items()
-    for chosen in chain(combinations(bits, 1), combinations(bits, 2)):
-        contracted = _contract_masks({b: 1 for _, b in chosen}, table)
-        if _wedge_masks(table, _power_masks(contracted, 2)):
-            return Covector(v.window, {x: Fraction(1) for x, _ in chosen})
+    w = v.window
+    labels = w.elements()
+    parts = {x: contract(Covector.dual_basis(w, x), v) for x in labels}
+    left = {x: wedge(v, part) for x, part in parts.items()}
+    # v ^ (e^a . v) ^ (e^b . v) is the polar form: the value at e^a when a = b,
+    # and half the value at e^a + e^b once every basis value vanished
+    for a, b in chain(zip(labels, labels), combinations(labels, 2)):
+        if not wedge(left[a], parts[b]).is_zero():
+            return Covector(w, dict.fromkeys((a, b), Fraction(1)))
     return None
 
 

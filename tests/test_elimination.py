@@ -19,7 +19,6 @@ from hyperwedge.elimination import (
     assignment_to_obj,
     good_projection,
     reconstruct_all,
-    reconstruct_coordinate,
 )
 from hyperwedge.forms import FormSpec, _partition_table, hpf_polynomial
 from hyperwedge.indices import (
@@ -124,6 +123,11 @@ def test_carrier_polynomial_splits_with_a_tail():
 
 # ------------------------------------------------------- single coordinate
 
+def forced(m, l, assignment, target, carrier):
+    """x_target forced by the carrier target + extra, as the recovery pass reads it."""
+    return elimination._forced_value(m, l, assignment.known, target, carrier[len(target):], {})
+
+
 def test_reconstruct_matches_true_coefficient_across_carriers():
     rng = random.Random(61)
     w = Window(6, 2)
@@ -135,7 +139,7 @@ def test_reconstruct_matches_true_coefficient_across_carriers():
         agreeing = 0
         for extra in combinations(pool, 4):
             try:
-                value = reconstruct_coordinate(2, 2, assignment, target, target + extra)
+                value = forced(2, 2, assignment, target, target + extra)
             except ZeroDenominator:
                 continue
             assert value == v.coeff(target)
@@ -149,14 +153,14 @@ def test_reconstruct_signals_zero_denominator_on_decomposables():
     v = rank_sample(rng, w, 1)
     assignment = full_assignment(v, PAIR)
     with pytest.raises(ZeroDenominator):
-        reconstruct_coordinate(2, 2, assignment, (-4, -3), tuple(w.elements()))
+        forced(2, 2, assignment, (-4, -3), tuple(w.elements()))
 
 
 def test_reconstruct_reports_missing_prerequisites():
     w = Window(4, 2)
     empty = CoordinateAssignment(w, 2, {}, PAIR)
     with pytest.raises(MissingCoordinates) as info:
-        reconstruct_coordinate(2, 2, empty, (-4, -3), tuple(w.elements()))
+        forced(2, 2, empty, (-4, -3), tuple(w.elements()))
     assert len(info.value.coordinates) > 0
     assert issubclass(MissingCoordinates, ReconstructionError)
     assert issubclass(ZeroDenominator, ReconstructionError)
@@ -170,21 +174,8 @@ def test_known_zero_factors_silence_their_monomials():
     known[(-2, 1)] = Fraction(1)
     known[(-1, 2)] = Fraction(1)
     assignment = CoordinateAssignment(w, 2, known, PAIR)
-    value = reconstruct_coordinate(2, 2, assignment, (-4, -3), tuple(w.elements()))
+    value = forced(2, 2, assignment, (-4, -3), tuple(w.elements()))
     assert value == 0
-
-
-def test_reconstruct_coordinate_validation():
-    w = Window(4, 2)
-    assignment = full_assignment(Multivector.zero(w, 2), PAIR)
-    with pytest.raises(ValueError):
-        reconstruct_coordinate(2, 2, assignment, (-2, -1), (-2, -1, -4, -3, 1, 2))
-    with pytest.raises(DimensionMismatch):
-        reconstruct_coordinate(2, 2, assignment, (-4, -3), (-4, -3, -2, -1, 1))
-    with pytest.raises(DimensionMismatch):
-        reconstruct_coordinate(2, 2, assignment, (-4, -3, -2), tuple(w.elements()))
-    with pytest.raises(DimensionMismatch):
-        reconstruct_coordinate(4, 1, assignment, (-4, -3), (-4, -3, -2, -1, 1, 2))
 
 
 # ---------------------------------------------- slow-route oracle for carriers
@@ -292,7 +283,7 @@ def test_carrier_values_match_the_polynomial_route(seed, window, m, l, pairs, pq
                 larger = [x for x in window.elements() if x > target[-1]]
                 for extra in combinations(larger, m * l):
                     carrier = target + extra
-                    fast = outcome(reconstruct_coordinate, m, l, assignment, target, carrier)
+                    fast = outcome(forced, m, l, assignment, target, carrier)
                     slow = outcome(slow_reconstruct, m, l, known, target, carrier)
                     assert fast == slow, (target, carrier)
                     assert fast[0] != "value" or type(fast[1]) is Fraction

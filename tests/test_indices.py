@@ -9,7 +9,6 @@ from hyperwedge.indices import (
     GoodParams,
     Window,
     conjugate_partition,
-    diagram_leq,
     enumerate_partitions,
     index_set,
     is_good,
@@ -285,31 +284,3 @@ def test_conjugate_partition_round_trip():
             conj = conjugate_partition(parts)
             assert conjugate_partition(conj) == parts
             assert sum(conj) == n
-
-
-def test_diagram_leq_examples():
-    assert diagram_leq((), (2,))
-    assert diagram_leq((2,), (2, 1))
-    assert not diagram_leq((2,), (1, 1))
-
-
-def test_diagram_leq_is_a_partial_order():
-    universe = [p for n in range(7) for p in integer_partitions(n)]
-    for a in universe:
-        assert diagram_leq(a, a)
-    for a, b in itertools.permutations(universe, 2):
-        if diagram_leq(a, b) and diagram_leq(b, a):
-            assert a == b
-    for a, b, c in itertools.combinations(universe, 3):
-        # spot-check transitivity along the sampled triple in both directions
-        if diagram_leq(a, b) and diagram_leq(b, c):
-            assert diagram_leq(a, c)
-        if diagram_leq(c, b) and diagram_leq(b, a):
-            assert diagram_leq(c, a)
-
-
-def test_strict_containment_shrinks_size():
-    universe = [p for n in range(7) for p in integer_partitions(n)]
-    for a, b in itertools.permutations(universe, 2):
-        if diagram_leq(a, b) and a != b:
-            assert sum(a) < sum(b)

@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from hyperwedge.forms import plucker_relation
-from hyperwedge.multivector import Covector, Multivector
+from hyperwedge.forms import FormSpec, plucker_relation
+from hyperwedge.multivector import Covector, Multivector, hodge_star
 from hyperwedge.varieties import MembershipReport
 
 
@@ -111,6 +111,38 @@ def in_grassmannian(v):
     n = v.window.size
     count = math.comb(n, g - 1) * math.comb(n, g + 1) if g else 0
     return MembershipReport(True, {"kind": "all_forms_vanish", "count": count})
+
+
+def in_hpf(m, l, v):
+    """The power's lowest key, min over tuple keys, read as a form value."""
+    power = wedge_power(v, l)
+    if power.is_zero():
+        count = math.comb(v.window.size, m * l)
+        return MembershipReport(True, {"kind": "zero_power", "power": l, "forms_checked": count})
+    key = min(power.terms)
+    coeff = power.coeff(key)
+    return MembershipReport(False, {
+        "kind": "violated_form",
+        "label": FormSpec(m, l, key).label,
+        "value": str(coeff / math.factorial(l)),
+        "power": l,
+        "power_coordinate": list(key),
+        "power_value": str(coeff),
+    })
+
+
+def in_dual_hpf(r, s, v):
+    power = wedge_power(hodge_star(v), s)
+    if power.is_zero():
+        return MembershipReport(True, {"kind": "zero_power", "power": s, "side": "dual"})
+    key = min(power.terms)
+    return MembershipReport(False, {
+        "kind": "nonzero_power",
+        "power": s,
+        "coordinate": list(key),
+        "value": str(power.coeff(key)),
+        "side": "dual",
+    })
 
 
 def contraction_membership(m, l, v, trials=64, seed=0):
