@@ -41,10 +41,9 @@ not silence, so no later value can change it.
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .forms import _row_plan, _row_sum
 from .indices import (
@@ -83,14 +82,6 @@ class MissingCoordinates(ReconstructionError):
         )
 
 
-def _good_params(params) -> GoodParams:
-    """The four thresholds as GoodParams, each a plain positive int."""
-    params = GoodParams(*params)
-    for name, value in zip(("m", "l", "r", "s"), params):
-        plain_int(name, value)
-    return params
-
-
 class CoordinateAssignment:
     """Partially known top-grade coordinates over a window.
 
@@ -106,7 +97,7 @@ class CoordinateAssignment:
             raise DimensionMismatch(
                 f"assignment grade must equal the window grade {window.p}, got {grade}"
             )
-        params = _good_params(params)
+        params = GoodParams(*params)
         store = {}
         for key, value in known.items():
             iset = index_set(key, window=window)
@@ -163,7 +154,7 @@ def good_projection(v: Multivector, params: GoodParams) -> CoordinateAssignment:
     ascend, so a second deep negative is key[1], and the positive members
     at or above the deep gap threshold form a tail of the key.
     """
-    params = _good_params(params)
+    params = GoodParams(*params)
     window = v.window
     p = window.p
     known = {}
@@ -231,8 +222,7 @@ def _forced_value(m: int, l: int, known, target, extra, settled: dict) -> Fracti
     return Fraction(-numerator) / denominator
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     """Outcome of a full recovery pass; failure lives in `stuck`."""
 
     completed: Optional[Multivector]

@@ -5,9 +5,9 @@ size m*l: the signed sum, over all unordered partitions of A into m-blocks,
 of the products of the block coordinates.  For even m the block order does
 not matter and the sum is a nonzero polynomial; for odd m and degree at
 least two the symmetrized sum collapses to zero, and only the multilinear
-version survives (it is computed here with determinants in place of
-permanents).  A relative variant glues a fixed disjoint tail J into every
-block coordinate.
+version survives (a signed sum over block orders, each order weighted by
+its sign to the m-th power).  A relative variant glues a fixed disjoint
+tail J into every block coordinate.
 
 These forms carry the structure constants of the wedge product (for even m
 the coefficient of e_K in v^l is l! * hpf(m, l)@K(v)), satisfy a pivot
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
@@ -36,6 +35,7 @@ from .indices import (
     DimensionMismatch,
     IndexSet,
     Window,
+    checked_record,
     enumerate_partitions,
     even_width,
     index_set,
@@ -43,39 +43,30 @@ from .indices import (
     shuffle_sign,
     sort_with_sign,
 )
-from .multivector import Multivector, _rank_det, _star_key
+from .multivector import Multivector, _star_key
 from .polynomials import WedgePolynomial
 
 
-@dataclass(frozen=True)
-class FormSpec:
+class FormSpec(checked_record("FormSpec", "m l indices tail")):
     """Shape of one form: width m, degree l, member set, optional tail."""
 
-    m: int
-    l: int
-    indices: IndexSet
-    tail: IndexSet = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        plain_int("width m", self.m)
-        plain_int("degree l", self.l)
-        members = index_set(self.indices)
-        extra = index_set(self.tail) if self.tail else ()
-        if len(members) != self.m * self.l:
-            raise DimensionMismatch(
-                f"need {self.m * self.l} member labels, got {len(members)}"
-            )
+    def __new__(cls, m: int, l: int, indices: IndexSet, tail: IndexSet = ()):
+        plain_int("width m", m)
+        plain_int("degree l", l)
+        members = index_set(indices)
+        extra = index_set(tail) if tail else ()
+        if len(members) != m * l:
+            raise DimensionMismatch(f"need {m * l} member labels, got {len(members)}")
         if set(members) & set(extra):
             raise ValueError("tail overlaps the member set")
-        object.__setattr__(self, "indices", members)
-        object.__setattr__(self, "tail", extra)
+        return tuple.__new__(cls, (m, l, members, extra))
 
     @classmethod
     def _trusted(cls, m: int, l: int, indices: IndexSet, tail: IndexSet) -> "FormSpec":
         """Adopt ascending, disjoint, correctly sized labels unchecked."""
-        out = object.__new__(cls)
-        out.__dict__.update(m=m, l=l, indices=indices, tail=tail)
-        return out
+        return tuple.__new__(cls, (m, l, indices, tail))
 
     @property
     def grade(self) -> int:
@@ -180,27 +171,14 @@ def hpf_eval(spec: FormSpec, v: Multivector) -> Fraction:
     return Fraction(_row_sum(rows, [v._terms.get(key, 0) for key in keys]))
 
 
-def _permanent(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Permanent of a square matrix by expansion over permutations."""
-    total = Fraction(0)
-    for perm in itertools.permutations(range(len(rows))):
-        term = Fraction(1)
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-            if not term:
-                break
-        else:
-            total += term
-    return total
-
-
 def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
     """Fully polarized form on l separate grade-m arguments.
 
-    The sum runs over ordered block assignments, so feeding the same vector
-    into every slot returns l! times hpf_eval.  Odd widths are fine here:
-    block swaps cost a sign, which turns each partition's permanent into a
-    determinant.
+    The sum runs over ordered block assignments: each partition's blocks,
+    taken in every order pi, give the term sign * sgn(pi)^m * prod_i
+    v_i(B_pi(i)), since moving m-blocks past each other costs sgn(pi)^m.
+    So feeding the same vector into every slot returns l! times hpf_eval.
+    Odd widths are fine here: only the symmetrized sum vanishes for them.
     """
     if spec.tail:
         raise ValueError("relative forms do not polarize")
@@ -217,14 +195,18 @@ def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
             )
     if not window.contains_set(spec.indices):
         raise DimensionMismatch(f"form labels do not fit window {window}")
+    orders = [
+        (order, (-1) ** (spec.m * sum(a > b for a, b in itertools.combinations(order, 2))))
+        for order in itertools.permutations(range(spec.l))
+    ]
     total = Fraction(0)
     for blocks, sign in _partition_table(len(spec.indices), spec.m):
         keys = [tuple(spec.indices[q - 1] for q in block) for block in blocks]
-        columns = [[v.coeff(key) for v in vec] for key in keys]
-        if any(not any(col) for col in columns):
-            continue
-        rows = [[columns[j][i] for j in range(len(keys))] for i in range(len(vec))]
-        total += sign * (_rank_det(rows)[1] if spec.m % 2 else _permanent(rows))
+        values = [[v._terms.get(key, 0) for key in keys] for v in vec]
+        if not all(map(any, zip(*values))):
+            continue  # some block is zero in every argument
+        for order, order_sign in orders:
+            total += math.prod((row[j] for row, j in zip(values, order)), start=sign * order_sign)
     return total
 
 

@@ -16,9 +16,9 @@ Nothing is coerced: True, 1.0 and "1" are rejected, never read as 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 IndexSet = tuple[int, ...]
 Diagram = tuple[int, ...]
@@ -69,16 +69,27 @@ def ascending_key(indices: Iterable[int]) -> IndexSet:
     return key
 
 
-@dataclass(frozen=True)
-class Window:
+def checked_record(name: str, fields: str):
+    """A namedtuple base whose _make, and so _replace, builds through __new__.
+
+    A record subclasses it with __slots__ = () and a __new__ that checks its
+    fields, so every route to an instance but an explicit tuple.__new__ is
+    checked.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class Window(checked_record("Window", "n p")):
     """Label range {-n, ..., -1, 1, ..., p} for a coefficient space."""
 
-    n: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        plain_int("window side n", self.n, 0)
-        plain_int("window side p", self.p, 0)
+    def __new__(cls, n: int, p: int):
+        plain_int("window side n", n, 0)
+        plain_int("window side p", p, 0)
+        return tuple.__new__(cls, (n, p))
 
     @property
     def size(self) -> int:
@@ -185,18 +196,20 @@ def enumerate_partitions(
         yield blocks, shuffle_sign(blocks)
 
 
-class GoodParams(NamedTuple):
-    """Width/degree parameters (m, l) and their dual pair (r, s).
+class GoodParams(checked_record("GoodParams", "m l r s")):
+    """Width/degree parameters (m, l) and their dual pair (r, s), each a plain positive int.
 
     They fix the two depth thresholds of the goodness predicate: an index is
     deep-negative when it is at most m - 1 - m*l, and a positive gap is deep
     when it is at least r*s - r.
     """
 
-    m: int
-    l: int
-    r: int
-    s: int
+    __slots__ = ()
+
+    def __new__(cls, m: int, l: int, r: int, s: int):
+        for name, value in zip(cls._fields, (m, l, r, s)):
+            plain_int(name, value)
+        return tuple.__new__(cls, (m, l, r, s))
 
     @property
     def deep_negative(self) -> int:

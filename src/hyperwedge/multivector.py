@@ -72,18 +72,18 @@ class Multivector:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw_key, raw_coeff in items:
             key = ascending_key(raw_key)
+            if key in store:
+                raise ValueError(f"term {key} is given twice")
             if len(key) != grade:
                 raise DimensionMismatch(
                     f"term {key} has {len(key)} indices, expected grade {grade}"
                 )
             if not window.contains_set(key):
                 raise DimensionMismatch(f"term {key} is outside window {window}")
-            coeff = exact(raw_coeff)
-            if coeff:
-                store[key] = coeff
+            store[key] = exact(raw_coeff)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "_terms", store)
+        object.__setattr__(self, "_terms", {key: coeff for key, coeff in store.items() if coeff})
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")

@@ -9,10 +9,9 @@ from a seeded generator, so equal inputs and seeds give equal output.
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .forms import (
     FormSpec,
@@ -21,7 +20,7 @@ from .forms import (
     plucker_relation,
     trivial_region,
 )
-from .indices import DimensionMismatch, Window, even_width, plain_int
+from .indices import DimensionMismatch, Window, checked_record, even_width, plain_int
 from .multivector import (
     Covector,
     Multivector,
@@ -38,26 +37,21 @@ _ENTRY_BOUND = 2**19
 _WITNESS_TERMS, _WITNESS_BOUND = 4, 9  # terms per witness factor, |coefficient| cap
 
 
-@dataclass(frozen=True)
-class VarietySpec:
+class VarietySpec(checked_record("VarietySpec", "kind m l r s")):
     """Tagged choice of locus; build through the classmethods."""
 
-    kind: str
-    m: Optional[int] = None
-    l: Optional[int] = None
-    r: Optional[int] = None
-    s: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _LOCI:
-            raise ValueError(f"unknown variety kind {self.kind!r}")
-        params = dict(_LOCI[self.kind][0])
-        for name in "mlrs":
-            value = getattr(self, name)
+    def __new__(cls, kind: str, m=None, l=None, r=None, s=None):
+        if not isinstance(kind, str) or kind not in _LOCI:
+            raise ValueError(f"unknown variety kind {kind!r}")
+        params = dict(_LOCI[kind][0])
+        for name, value in zip("mlrs", (m, l, r, s)):
             if name in params:
                 params[name](name, value)
             elif value is not None:
-                raise ValueError(f"{self.kind} takes no parameter {name}, got {value!r}")
+                raise ValueError(f"{kind} takes no parameter {name}, got {value!r}")
+        return tuple.__new__(cls, (kind, m, l, r, s))
 
     @classmethod
     def grassmannian(cls) -> "VarietySpec":
@@ -80,11 +74,10 @@ class VarietySpec:
         return cls("two_sided", m=m, l=l, r=r, s=s)
 
     def describe(self) -> str:
-        return _LOCI[self.kind][1].format(**vars(self))
+        return _LOCI[self.kind][1].format(**self._asdict())
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Verdict plus the evidence it rests on."""
 
     member: bool
@@ -93,29 +86,22 @@ class MembershipReport:
     seed: Optional[int] = None
 
     def to_obj(self) -> dict:
-        return {
-            "member": self.member,
-            "certificate": self.certificate,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class TypeSpec:
+class TypeSpec(checked_record("TypeSpec", "pi k")):
     """Partition of factor grades and a number of summands."""
 
-    pi: tuple
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(self.pi)
-        object.__setattr__(self, "pi", parts)
-        if not parts:
+    def __new__(cls, pi, k: int):
+        pi = tuple(pi)
+        if not pi:
             raise ValueError("partition needs at least one part")
-        for part in parts:
+        for part in pi:
             plain_int("part", part)
-        plain_int("summand count", self.k)
+        plain_int("summand count", k)
+        return tuple.__new__(cls, (pi, k))
 
     @property
     def grade(self) -> int:

@@ -57,6 +57,15 @@ def test_constructor_rejects_sloppy_terms():
         Multivector(W23, 1, {(1,): 0.5})
 
 
+@pytest.mark.parametrize("second", [2, 0, Fraction(1)])
+def test_constructor_rejects_a_repeated_key(second):
+    # neither value wins, not even when the repeat's coefficient is zero
+    with pytest.raises(ValueError, match=r"term \(1,\) is given twice"):
+        Multivector(W23, 1, [((1,), 1), ((1,), second)])
+    with pytest.raises(ValueError, match="given twice"):
+        Multivector(W23, 2, [((1, 2), 0), ((-1, 3), 5), ((1, 2), second)])
+
+
 @pytest.mark.parametrize("label", [1.5, 1.0, "1", True, Fraction(1), None])
 def test_labels_must_be_plain_nonzero_ints(label):
     # nothing is truncated or coerced into e(1), neither in terms nor lookups
