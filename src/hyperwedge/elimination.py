@@ -48,6 +48,7 @@ from typing import NamedTuple, Optional
 from .forms import _row_plan, _row_sum
 from .indices import (
     DimensionMismatch,
+    Frozen,
     GoodParams,
     Window,
     exact,
@@ -82,12 +83,13 @@ class MissingCoordinates(ReconstructionError):
         )
 
 
-class CoordinateAssignment:
+class CoordinateAssignment(Frozen):
     """Partially known top-grade coordinates over a window.
 
     known maps size-p index sets to exact rationals; every other size-p
     subset counts as missing.  params fixes the goodness thresholds the
-    assignment was produced under.
+    assignment was produced under.  _trusted(window, grade, known, params)
+    adopts ascending size-p window keys and Fraction values unchecked.
     """
 
     __slots__ = ("window", "grade", "_known", "params")
@@ -109,20 +111,6 @@ class CoordinateAssignment:
                 )
             store[iset] = exact(value)
         self._fill(window, grade, store, params)
-
-    def _fill(self, window, grade, known, params):
-        for name, value in zip(self.__slots__, (window, grade, known, params)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _trusted(cls, window: Window, known: dict, params: GoodParams):
-        """Adopt ascending size-p window keys and Fraction values unchecked."""
-        out = object.__new__(cls)
-        out._fill(window, window.p, known, params)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordinateAssignment is immutable")
 
     @property
     def known(self):
@@ -170,7 +158,7 @@ def good_projection(v: Multivector, params: GoodParams) -> CoordinateAssignment:
             if deep_gaps - (p - bisect.bisect_left(key, low)) > 1:
                 continue
             known[key] = terms.get(key, zero)
-    return CoordinateAssignment._trusted(window, known, params)
+    return CoordinateAssignment._trusted(window, p, known, params)
 
 
 def _form_on_known(m: int, known, head, tail, extra):

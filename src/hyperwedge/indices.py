@@ -81,6 +81,46 @@ def checked_record(name: str, fields: str):
     return base
 
 
+class Frozen:
+    """Base of the immutable __slots__ classes: value equality, pickle and copy.
+
+    A subclass names its fields in __slots__ and ends its checking __init__
+    with one self._fill(...); _trusted builds an instance unchecked, from
+    values that already hold the class's invariants.  Pickling and copying
+    rebuild through _trusted, so they do not re-run the checks.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fill(self, *values):
+        """Set the fields in __slots__ order; returns self."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _trusted(cls, *values):
+        return object.__new__(cls)._fill(*values)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return type(self)._trusted, self._values()
+
+
 class Window(checked_record("Window", "n p")):
     """Label range {-n, ..., -1, 1, ..., p} for a coefficient space."""
 

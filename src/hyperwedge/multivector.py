@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Mapping
 
 from .indices import (
     DimensionMismatch,
+    Frozen,
     IndexSet,
     Window,
     _as_signed,
@@ -56,8 +57,12 @@ class FormatError(ValueError):
     """Serialized data violates the on-disk contract."""
 
 
-class Multivector:
-    """Immutable sparse element of one exterior power of a window space."""
+class Multivector(Frozen):
+    """Immutable sparse element of one exterior power of a window space.
+
+    _trusted(window, grade, terms) adopts a dict of ascending in-window keys
+    and nonzero Fractions unchecked.
+    """
 
     __slots__ = ("window", "grade", "_terms")
 
@@ -81,21 +86,7 @@ class Multivector:
             if not window.contains_set(key):
                 raise DimensionMismatch(f"term {key} is outside window {window}")
             store[key] = exact(raw_coeff)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "_terms", {key: coeff for key, coeff in store.items() if coeff})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
-
-    @classmethod
-    def _trusted(cls, window: Window, grade: int, terms: dict) -> "Multivector":
-        """Adopt a dict of ascending in-window keys and nonzero Fractions unchecked."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "window", window)
-        object.__setattr__(out, "grade", grade)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        self._fill(window, grade, {key: coeff for key, coeff in store.items() if coeff})
 
     # -------------------------------------------------------- constructors
 
@@ -171,17 +162,6 @@ class Multivector:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return (
-            self.window == other.window
-            and self.grade == other.grade
-            and self._terms == other._terms
-        )
-
-    __hash__ = None
-
     def __str__(self):
         """The bare term sum, such as "2*e(-1,3) + 1/2*e(1,2)", or "0"."""
         parts = []
@@ -195,7 +175,7 @@ class Multivector:
         return f"<{self} | grade {self.grade} in {self.window}>"
 
 
-class Covector:
+class Covector(Frozen):
     """Finite functional f = sum of f_i e^i over the window labels."""
 
     __slots__ = ("window", "_coeffs")
@@ -208,18 +188,14 @@ class Covector:
             c = exact(value)
             if c:
                 store[label] = c
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "_coeffs", store)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Covector is immutable")
+        self._fill(window, store)
 
     @classmethod
     def dual_basis(cls, window: Window, label: int) -> "Covector":
         return cls(window, {label: Fraction(1)})
 
     def coeff(self, label: int) -> Fraction:
-        return self._coeffs.get(label, Fraction(0))
+        return self._coeffs.get(_as_signed(label), Fraction(0))
 
     def items(self):
         return tuple(sorted(self._coeffs.items()))
@@ -231,13 +207,6 @@ class Covector:
         for k, v in other._coeffs.items():
             merged[k] = merged.get(k, Fraction(0)) + v
         return Covector(self.window, merged)
-
-    def __eq__(self, other):
-        if not isinstance(other, Covector):
-            return NotImplemented
-        return self.window == other.window and self._coeffs == other._coeffs
-
-    __hash__ = None
 
     def __repr__(self):
         body = " + ".join(f"{c}*e^({i})" for i, c in self.items()) or "0"
@@ -270,7 +239,7 @@ def _rank_det(rows: Iterable[Iterable[Fraction]]) -> tuple[int, Fraction]:
     return rank, sign * prev if rank == size else Fraction(0)
 
 
-class RationalMatrix:
+class RationalMatrix(Frozen):
     """Dense square matrix over the window labels, exact rational entries."""
 
     __slots__ = ("window", "_rows")
@@ -280,11 +249,7 @@ class RationalMatrix:
         data = tuple(tuple(exact(x) for x in row) for row in rows)
         if len(data) != size or any(len(row) != size for row in data):
             raise DimensionMismatch(f"matrix must be {size}x{size} for {window}")
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "_rows", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
+        self._fill(window, data)
 
     @classmethod
     def identity(cls, window: Window) -> "RationalMatrix":
@@ -301,7 +266,7 @@ class RationalMatrix:
 
     def _pos(self, label: int) -> int:
         w = self.window
-        if label not in w:
+        if _as_signed(label) not in w:
             raise DimensionMismatch(f"label {label} outside window {w}")
         return label + w.n if label < 0 else label + w.n - 1
 
@@ -335,13 +300,6 @@ class RationalMatrix:
 
     def rank(self) -> int:
         return _rank_det(self._rows)[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.window == other.window and self._rows == other._rows
-
-    __hash__ = None
 
 
 # ------------------------------------------------------------------ products

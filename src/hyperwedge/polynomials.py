@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .indices import DimensionMismatch, IndexSet, Window, ascending_key, exact, plain_int
+from .indices import DimensionMismatch, Frozen, IndexSet, Window, ascending_key, exact, plain_int
 from .multivector import (
     FormatError,
     Multivector,
@@ -39,10 +39,14 @@ def _require_inside(window: Optional[Window], factor: IndexSet):
         raise DimensionMismatch(f"variable {factor} is outside window {window}")
 
 
-class WedgePolynomial:
-    """Sparse polynomial over the coordinates of one exterior power."""
+class WedgePolynomial(Frozen):
+    """Sparse polynomial over the coordinates of one exterior power.
 
-    __slots__ = ("grade", "window", "label", "_terms")
+    _trusted(grade, terms, window, label) adopts a dict of canonical
+    monomials and nonzero Fractions unchecked.
+    """
+
+    __slots__ = ("grade", "_terms", "window", "label")
 
     def __init__(
         self,
@@ -67,23 +71,7 @@ class WedgePolynomial:
                 store[mono] = coeff
             else:
                 store.pop(mono, None)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_terms", store)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WedgePolynomial is immutable")
-
-    @classmethod
-    def _trusted(cls, grade: int, terms: dict, window, label) -> "WedgePolynomial":
-        """Adopt a dict of canonical monomials and nonzero Fractions unchecked."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "grade", grade)
-        object.__setattr__(out, "window", window)
-        object.__setattr__(out, "label", label)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        self._fill(grade, store, window, label)
 
     @classmethod
     def zero(cls, grade: int, window: Optional[Window] = None) -> "WedgePolynomial":
@@ -153,8 +141,6 @@ class WedgePolynomial:
             and self.window == other.window
             and self._terms == other._terms
         )
-
-    __hash__ = None
 
     def __str__(self):
         """The bare term sum, such as "1*x(1,2)x(3,4) + -1*x(1,3)x(2,4)", or "0"."""

@@ -4,8 +4,10 @@ Whole results are compared on seeded points with p/q coefficients, negative
 labels, grade 0, zero operands and sums that cancel.
 """
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,15 @@ def test_varieties_binds_no_mask_helper():
     bound = [name for name, value in vars(varieties).items()
              if any(value is helper for helper in helpers)]
     assert bound == []
+
+
+def test_only_indices_writes_object_fields():
+    # immutability is decided once, by indices.Frozen
+    package = Path(multivector.__file__).parent
+    writers = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "indices.py"
+               and re.search(r"object\.__setattr__|def __setattr__", path.read_text())]
+    assert writers == []
 
 
 def test_locus_reports_match_the_tuple_kernel():

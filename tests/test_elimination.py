@@ -95,6 +95,19 @@ def test_projection_of_off_grade_input_is_empty():
     assert len(projected.missing()) == 6
 
 
+def test_assignments_compare_by_value_and_never_hash():
+    w = Window(4, 2)
+    v = Multivector.basis(w, (-2, -1), 3) + Multivector.basis(w, (1, 2), 2)
+    projected = good_projection(v, PAIR)
+    assert good_projection(v, PAIR) == projected
+    assert good_projection(v, GoodParams(2, 3, 2, 2)) != projected
+    changed = {**projected.known, (1, 2): Fraction(5)}
+    assert CoordinateAssignment(w, 2, changed, PAIR) != projected
+    assert CoordinateAssignment(w, 2, dict(projected.known), PAIR) == projected
+    with pytest.raises(TypeError):
+        hash(projected)
+
+
 # --------------------------------------------------- the splitting identity
 
 def test_carrier_polynomial_splits_off_the_target():

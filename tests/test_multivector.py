@@ -89,8 +89,17 @@ def test_wedge_powers_are_never_coerced(power):
 
 @pytest.mark.parametrize("label", [True, 1.0, 1.5])
 def test_covector_labels_are_never_coerced(label):
-    with pytest.raises(ValueError):
-        Covector(W23, {label: 1})
+    identity = RationalMatrix.identity(W23)
+    lookups = [
+        lambda: Covector(W23, {label: 1}),
+        lambda: Covector(W23, {1: 5}).coeff(label),
+        lambda: identity.entry(label, 1),
+        lambda: identity.entry(1, label),
+        lambda: identity.column(label),
+    ]
+    for lookup in lookups:
+        with pytest.raises(ValueError):
+            lookup()
 
 
 def test_basis_constructor_signs():
