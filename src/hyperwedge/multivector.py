@@ -26,8 +26,8 @@ over one common denominator D, the lcm of the coefficients' denominators.
 Among keys of one grade, lexicographic order of label tuples is descending
 int order of masks, so max(table) is the lowest key.  Locus code reads the
 mask domain only through two entry points that take a Multivector and return
-labels and Fractions: _lowest_power_term (power tests, contracted or not) and
-_plucker_violation (the (iota_S v) ^ v walk).
+labels and Fractions: _lowest_power_term (every power test, contracted or not)
+and _plucker_violation (the (iota_S v) ^ v walk).
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ from .indices import (
     ascending_key,
     exact,
     plain_int,
-    shuffle_sign,
     sort_with_sign,
 )
 
@@ -403,11 +402,10 @@ def contract(f: Covector, v: Multivector) -> Multivector:
 # ------------------------------------------------------------------ locus entry points
 
 def _lowest_power_term(v: Multivector, l: int, draws: Iterable = ((),)):
-    """The first draw whose contracted l-th power of v survives, or None.
+    """Yield each draw whose contracted l-th power of v survives, in draw order.
 
-    Each draw is a sequence of {label: int} covectors applied to v in turn.
-    The result is (index, draw, key, coefficient): the draw's place, the
-    draw, and the lowest surviving key of its power with that key's Fraction.
+    A draw is a sequence of {label: int} covectors applied to v in turn; each
+    yield is (index, draw, lowest surviving key of the power, its Fraction).
     """
     bit = _frame(v.window)
     table, den = _to_masks(v)
@@ -417,8 +415,7 @@ def _lowest_power_term(v: Multivector, l: int, draws: Iterable = ((),)):
             current = _contract_masks({bit[x]: c for x, c in f.items() if c}, current)
         power = _power_masks(current, l)
         if power:
-            return (index, draw, *_lowest(v.window, power, den**l))
-    return None
+            yield (index, draw, *_lowest(v.window, power, den**l))
 
 
 def _plucker_violation(v: Multivector):
@@ -479,10 +476,10 @@ def transition(kind: str, v: Multivector) -> Multivector:
 
 
 def _star_key(universe: IndexSet, key: IndexSet) -> tuple[int, IndexSet]:
-    """Where the star sends e_key: sgn(I, I^c) and the negated complement I^c."""
+    """Where the star sends e_key: sgn(I, I^c), read from I's places, and -I^c."""
     members = set(key)
-    comp = tuple(x for x in universe if x not in members)
-    return shuffle_sign([key, comp]), tuple(sorted(-x for x in comp))
+    moves = sum(map(universe.index, key)) - math.comb(len(key), 2)
+    return -1 if moves & 1 else 1, tuple(-x for x in reversed(universe) if x not in members)
 
 
 def hodge_star(v: Multivector) -> Multivector:

@@ -13,13 +13,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import NamedTuple, Optional
 
-from .forms import (
-    FormSpec,
-    component_form_specs,
-    hpf_eval,
-    plucker_relation,
-    trivial_region,
-)
+from .forms import FormSpec, plucker_relation, trivial_region
 from .indices import DimensionMismatch, Window, checked_record, even_width, plain_int
 from .multivector import (
     Covector,
@@ -156,7 +150,7 @@ def in_hpf(m: int, l: int, v: Multivector) -> MembershipReport:
     plain_int("l", l)
     if v.grade != m:
         raise DimensionMismatch(f"locus lives in grade {m}, argument has {v.grade}")
-    lowest = _lowest_power_term(v, l)
+    lowest = next(_lowest_power_term(v, l), None)
     if lowest is None:
         count = math.comb(v.window.size, m * l)
         return MembershipReport(
@@ -175,7 +169,17 @@ def in_hpf(m: int, l: int, v: Multivector) -> MembershipReport:
 
 
 def in_hpf_component(m: int, l: int, v: Multivector) -> MembershipReport:
-    """Evaluate all relative forms on a top-grade element of the window."""
+    """Relative-form test at top grade: each contracted power (iota_T v)^l vanishes.
+
+    T is a (p - m)-set contracted highest label first, and e_K of the power is
+    l! * (-1)^#{t < k in T x K} * hpf(m, l)@K|T(v); a refutation names the least (K, T).
+
+    >>> low, high = (Multivector.basis(Window(2, 2), key) for key in ((-2, -1), (1, 2)))
+    >>> in_hpf_component(2, 2, low + high).certificate
+    {'kind': 'violated_form', 'label': 'hpf(2,2)@-2,-1,1,2', 'value': '1'}
+    >>> in_hpf_component(2, 2, low).certificate
+    {'kind': 'all_forms_vanish', 'count': 1}
+    """
     plain_int("m", m)
     plain_int("l", l)
     w = v.window
@@ -186,16 +190,16 @@ def in_hpf_component(m: int, l: int, v: Multivector) -> MembershipReport:
     reason = trivial_region(m, l, w)
     if reason is not None:
         return MembershipReport(True, {"kind": "trivial_region", "reason": reason})
-    count = 0
-    for spec in component_form_specs(m, l, w):
-        value = hpf_eval(spec, v)
-        count += 1
-        if value:
-            return MembershipReport(
-                False,
-                {"kind": "violated_form", "label": spec.label, "value": str(value)},
-            )
-    return MembershipReport(True, {"kind": "all_forms_vanish", "count": count})
+    tails = list(combinations(w.elements(), w.p - m))
+    hits = _lowest_power_term(v, l, ([{t: 1} for t in reversed(tail)] for tail in tails))
+    lowest = min(hits, key=lambda hit: (hit[2], hit[0]), default=None)
+    if lowest is None:
+        count = len(tails) * math.comb(w.size - w.p + m, m * l)
+        return MembershipReport(True, {"kind": "all_forms_vanish", "count": count})
+    index, _, key, coeff = lowest
+    label = FormSpec(m, l, key, tails[index]).label
+    value = (-1) ** sum(t < k for t in tails[index] for k in key) * coeff / math.factorial(l)
+    return MembershipReport(False, {"kind": "violated_form", "label": label, "value": str(value)})
 
 
 def in_dual_hpf(r: int, s: int, v: Multivector) -> MembershipReport:
@@ -207,7 +211,7 @@ def in_dual_hpf(r: int, s: int, v: Multivector) -> MembershipReport:
         raise DimensionMismatch(
             f"dual locus lives in grade {expected}, argument has {v.grade}"
         )
-    lowest = _lowest_power_term(hodge_star(v), s)
+    lowest = next(_lowest_power_term(hodge_star(v), s), None)
     if lowest is None:
         return MembershipReport(True, {"kind": "zero_power", "power": s, "side": "dual"})
     _, _, key, value = lowest
@@ -342,7 +346,7 @@ def contraction_membership(
          for _ in range(v.grade - m)]
         for _ in range(trials)
     )
-    lowest = _lowest_power_term(v, l, draws)
+    lowest = next(_lowest_power_term(v, l, draws), None)
     if lowest is not None:
         trial, drawn, key, value = lowest
         certificate = {

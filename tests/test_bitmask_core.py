@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tuple_kernel as oracle
-from hyperwedge import multivector, varieties
+from hyperwedge import forms, multivector, varieties
 from hyperwedge.indices import Window
 from hyperwedge.multivector import (
     Covector,
@@ -20,6 +20,7 @@ from hyperwedge.multivector import (
     RationalMatrix,
     _frame,
     _labels,
+    _star_key,
     contract,
     gl_apply,
     nilpotency_degree,
@@ -31,6 +32,8 @@ from hyperwedge.varieties import (
     in_dual_hpf,
     in_grassmannian,
     in_hpf,
+    in_hpf_component,
+    in_two_sided,
     pf_contraction_witness,
 )
 
@@ -114,6 +117,26 @@ def test_varieties_binds_no_mask_helper():
     assert bound == []
 
 
+def test_varieties_binds_no_form_evaluator():
+    # every locus verdict comes from a power; the forms only name certificates
+    evaluators = [forms.hpf_eval, forms.hpf_polynomial, forms.component_form_specs]
+    bound = [name for name, value in vars(varieties).items()
+             if any(value is evaluator for evaluator in evaluators)]
+    assert bound == []
+
+
+def test_star_key_matches_the_shuffle_sign_rule():
+    checked = 0
+    for n in range(5):
+        for p in range(5):
+            universe = Window(n, p).elements()
+            for grade in range(len(universe) + 1):
+                for key in combinations(universe, grade):
+                    assert _star_key(universe, key) == oracle.star_key(universe, key)
+                    checked += 1
+    assert checked == 961
+
+
 def test_only_indices_writes_object_fields():
     # immutability is decided once, by indices.Frozen
     package = Path(multivector.__file__).parent
@@ -152,7 +175,38 @@ def test_locus_reports_match_the_tuple_kernel():
         assert fast == (oracle.in_hpf(m, l, v), oracle.in_dual_hpf(m, l, u))
         refuted["hpf"] += not fast[0].member
         refuted["dual"] += not fast[1].member
+    kinds = dict.fromkeys(("violated_form", "all_forms_vanish", "trivial_region"), 0)
+    # a product of dense p/q vectors in a larger window passes every (2, l >= 2)
+    # test; a sum of two fails
+    points = []
+    for window in (Window(3, 3), Window(4, 4), Window(5, 4)):
+        for parts in (1, 2):
+            v = Multivector.zero(window, window.p)
+            for _ in range(parts):
+                term = Multivector(window, 0, {(): Fraction(1)})
+                for _ in range(window.p):
+                    vector = {(x,): _pq(rng) for x in window.elements()}
+                    term = wedge(term, Multivector(window, 1, vector))
+                v = v + term
+            points += [(v, 2, 2, 2, 2), (v, 2, 3, 2, 3)]
+    # random points almost never refute at a (K, T) with an odd number of pairs
+    # t < k; this one's only violated form, hpf(2,2)@-2,-1,2,4|1,3, has three
+    window = Window(2, 4)
+    odd = Multivector.basis(window, (-2, -1, 1, 3)) + Multivector.basis(window, (1, 2, 3, 4))
+    points.append((odd, 2, 2, 2, 2))
+    for _ in range(200):
+        window = _window(rng)
+        m, l, r, s = (rng.randint(1, 3) for _ in range(4))
+        points.append((_element(rng, window, window.p), m, l, r, s))
+    for v, m, l, r, s in points:
+        report = in_hpf_component(m, l, v)
+        assert report == oracle.in_hpf_component(m, l, v)
+        both = in_two_sided(m, l, r, s, v)
+        assert both == oracle.in_two_sided(m, l, r, s, v)
+        for certificate in (report.certificate, both.certificate["dual"]):
+            kinds[certificate["kind"]] += not v.is_zero()
     assert min(refuted.values()) >= 15, refuted
+    assert min(kinds.values()) >= 15, kinds
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

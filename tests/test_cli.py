@@ -20,11 +20,12 @@ from hyperwedge.multivector import (
     Covector,
     hodge_star,
     multivector_to_obj,
+    transition,
     wedge,
 )
 from hyperwedge.polynomials import poly_eval, poly_from_obj, poly_to_obj
 
-from conftest import random_multivector
+from conftest import random_decomposable, random_multivector
 
 
 def exit_code(argv):
@@ -576,3 +577,97 @@ def test_stdout_is_byte_identical_to_golden(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+def _component_points():
+    """A seeded decomposable (4,4) point, and a sum of two with no -4 label."""
+    decomposable = random_decomposable(random.Random(16), Window(4, 4), 4, bound=3)
+    rng = random.Random(61)
+    small = Window(3, 4)
+    parts = [random_decomposable(rng, small, 4, bound=3) for _ in range(2)]
+    return {"decomposable": decomposable,
+            "split": transition("i", parts[0] + Fraction(1, 2) * parts[1])}
+
+
+_MEMBER = """\
+{
+  "spec": "HPf(2,2)",
+  "verdict": "member",
+  "certificate": {
+    "kind": "all_forms_vanish",
+    "count": 420
+  },
+  "trials": null,
+  "seed": null
+}
+"""
+
+_MEMBER_TWO_SIDED = """\
+{
+  "spec": "HPf(2,2)&HPf*(2,2)",
+  "verdict": "member",
+  "certificate": {
+    "kind": "two_sided",
+    "primal": {
+      "kind": "all_forms_vanish",
+      "count": 420
+    },
+    "dual": {
+      "kind": "all_forms_vanish",
+      "count": 420
+    }
+  },
+  "trials": null,
+  "seed": null
+}
+"""
+
+_SPLIT = """\
+{
+  "spec": "HPf(2,2)",
+  "verdict": "non-member",
+  "certificate": {
+    "kind": "violated_form",
+    "label": "hpf(2,2)@-3,-2,-1,1|2,3",
+    "value": "1167"
+  },
+  "trials": null,
+  "seed": null
+}
+"""
+
+_SPLIT_TWO_SIDED = """\
+{
+  "spec": "HPf(2,2)&HPf*(2,2)",
+  "verdict": "non-member",
+  "certificate": {
+    "kind": "two_sided",
+    "primal": {
+      "kind": "violated_form",
+      "label": "hpf(2,2)@-3,-2,-1,1|2,3",
+      "value": "1167"
+    },
+    "dual": {
+      "kind": "violated_form",
+      "label": "hpf(2,2)@-4,-3,-2,-1|1,4",
+      "value": "3061"
+    }
+  },
+  "trials": null,
+  "seed": null
+}
+"""
+
+
+@pytest.mark.parametrize("point, dual, code, expected", [
+    ("decomposable", False, 0, _MEMBER),
+    ("decomposable", True, 0, _MEMBER_TWO_SIDED),
+    ("split", False, 1, _SPLIT),
+    ("split", True, 1, _SPLIT_TWO_SIDED),
+])
+def test_component_member_stdout_is_golden(point, dual, code, expected, tmp_path, capsys):
+    # neither certificate is the first (K, T) of the scan: both pin its order
+    src = save(tmp_path / "v.json", _component_points()[point])
+    argv = ["member", "--form", "2", "2"] + (["--dual", "2", "2"] if dual else []) + [src]
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected

@@ -17,7 +17,15 @@ from hyperwedge.forms import (
     wedge_via_hpf,
 )
 from hyperwedge.indices import DimensionMismatch, Window
-from hyperwedge.multivector import Multivector, RationalMatrix, gl_apply, wedge, wedge_power
+from hyperwedge.multivector import (
+    Covector,
+    Multivector,
+    RationalMatrix,
+    contract,
+    gl_apply,
+    wedge,
+    wedge_power,
+)
 from hyperwedge.polynomials import WedgePolynomial, poly_equal, poly_eval, poly_mul
 
 from conftest import (
@@ -360,6 +368,35 @@ def test_power_vanishing_matches_form_vanishing():
                 for A in combinations(labels, m * l)
             )
             assert power_zero == forms_zero
+
+
+def test_contracted_power_coefficients_are_signed_relative_forms():
+    # contracting T highest label first, the e_K coefficient of (iota_T v)^l
+    # is l! * (-1)^#{(t, k) in T x K : t < k} * hpf(m, l)@K|T(v)
+    rng = random.Random(73)
+    seen = {"nonzero": 0, "negative sign": 0, "p/q": 0}
+    checked = 0
+    while checked < 150:
+        window = Window(rng.randint(0, 3), rng.randint(1, 4))
+        m, l = rng.randint(1, 3), rng.randint(1, 3)
+        if m * l > window.size:
+            continue
+        labels = window.elements()
+        tail = tuple(sorted(rng.sample(labels, rng.randint(0, window.size - m * l))))
+        key = tuple(sorted(rng.sample([x for x in labels if x not in tail], m * l)))
+        v = random_multivector(rng, window, m + len(tail), max_terms=30, bound=4)
+        v = v * Fraction(1, rng.randint(1, 3))
+        contracted = v
+        for t in reversed(tail):
+            contracted = contract(Covector.dual_basis(window, t), contracted)
+        coeff = wedge_power(contracted, l).coeff(key)
+        sign = -1 if sum(t < k for t in tail for k in key) % 2 else 1
+        assert coeff == factorial(l) * sign * hpf_eval(FormSpec(m, l, key, tail), v)
+        seen["nonzero"] += coeff != 0
+        seen["negative sign"] += coeff != 0 and sign < 0
+        seen["p/q"] += coeff.denominator > 1
+        checked += 1
+    assert min(seen.values()) >= 15, seen
 
 
 def test_pfaffian_square_is_determinant():

@@ -3,14 +3,23 @@
 Keys are ascending label tuples and coefficients are Fractions throughout:
 every pair of terms builds frozensets, merges the tuples while counting
 crossing inversions, and multiplies Fractions.  Each function mirrors the
-library routine of the same name as it stood before the integer core.
+library routine of the same name as it stood before the integer core; the
+component tests mirror the form enumeration that preceded contracted powers,
+and star_key the shuffle-sign rule that preceded the positional one.
 """
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from hyperwedge.forms import FormSpec, plucker_relation
+from hyperwedge.forms import (
+    FormSpec,
+    component_form_specs,
+    hpf_eval,
+    plucker_relation,
+    trivial_region,
+)
+from hyperwedge.indices import shuffle_sign
 from hyperwedge.multivector import Covector, Multivector, hodge_star
 from hyperwedge.varieties import MembershipReport
 
@@ -178,3 +187,33 @@ def pf_contraction_witness(v):
         if not wedge(v, wedge_power(contract(f, v), 2)).is_zero():
             return f
     return None
+
+
+def in_hpf_component(m, l, v):
+    """Every relative form in turn, member sets outer and tails inner."""
+    reason = trivial_region(m, l, v.window)
+    if reason is not None:
+        return MembershipReport(True, {"kind": "trivial_region", "reason": reason})
+    count = 0
+    for spec in component_form_specs(m, l, v.window):
+        value = hpf_eval(spec, v)
+        count += 1
+        if value:
+            return MembershipReport(
+                False, {"kind": "violated_form", "label": spec.label, "value": str(value)}
+            )
+    return MembershipReport(True, {"kind": "all_forms_vanish", "count": count})
+
+
+def in_two_sided(m, l, r, s, v):
+    primal = in_hpf_component(m, l, v)
+    dual = in_hpf_component(r, s, hodge_star(v))
+    certificate = {"kind": "two_sided", "primal": primal.certificate, "dual": dual.certificate}
+    return MembershipReport(primal.member and dual.member, certificate)
+
+
+def star_key(universe, key):
+    """sgn(I, I^c) as a shuffle sign, and the sorted negated complement."""
+    members = set(key)
+    comp = tuple(x for x in universe if x not in members)
+    return shuffle_sign([key, comp]), tuple(sorted(-x for x in comp))
