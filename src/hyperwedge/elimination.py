@@ -19,7 +19,10 @@ distinct block, not per row.  Each block key is spliced, not sorted: the
 block's labels from the head of I, then the rest of I, then its extra
 labels, which is ascending because the extras lie above I.  A full
 recovery pass clears the denominators of the known values once and reads a
-plain table of ints; every result is still an exact Fraction.
+plain table of ints; every result is still an exact Fraction.  A carrier
+forces nothing, and yields None, when a form needs a coordinate that is
+not known or the denominator vanishes; the pass then tries the next one,
+and no failed carrier raises.
 
 A full recovery decides each missing coordinate once, in diagram order.
 One pass is enough: every denominator key is tail + (an m-block of extra
@@ -62,25 +65,6 @@ from .multivector import (
     read_header,
     read_terms,
 )
-
-
-class ReconstructionError(Exception):
-    """A single-coordinate recovery that cannot proceed."""
-
-
-class ZeroDenominator(ReconstructionError):
-    """The carrier's denominator form vanishes on the known coordinates."""
-
-
-class MissingCoordinates(ReconstructionError):
-    """Prerequisite coordinates are absent from the assignment."""
-
-    def __init__(self, coordinates):
-        self.coordinates = tuple(coordinates)
-        super().__init__(
-            "prerequisite coordinates unknown: "
-            + ", ".join(map(str, self.coordinates))
-        )
 
 
 class CoordinateAssignment(Frozen):
@@ -166,48 +150,30 @@ def _form_on_known(m: int, known, head, tail, extra):
 
     Rows whose first block is the whole head hold x_(head + tail) and are
     skipped.  A known-zero factor silences its monomial even beside an
-    unknown one; unknown factors of the other monomials are reported together.
+    unknown one; an unknown factor of any other monomial makes the value None.
     """
     positions, rows = _row_plan(len(head) + len(extra), m, len(head), len(tail))
     label = (head + tail + extra).__getitem__
-    keys = [tuple(map(label, block)) for block in positions]
-    values = [known.get(key) for key in keys]
-    if None in values:
-        unknown = zero = live = 0
-        for b, value in enumerate(values):
-            if value is None:
-                unknown |= 1 << b
-            elif not value:
-                zero |= 1 << b
-        for _, mask, _ in rows:
-            if not mask & zero:
-                live |= mask
-        needed = live & unknown
-        if needed:
-            raise MissingCoordinates(
-                sorted(key for b, key in enumerate(keys) if needed >> b & 1)
-            )
-    # past the check, every row with an unknown factor has a known zero too
-    return _row_sum(rows, values)
+    return _row_sum(rows, [known.get(tuple(map(label, block))) for block in positions])
 
 
-def _forced_value(m: int, l: int, known, target, extra, settled: dict) -> Fraction:
+def _forced_value(m: int, known, target, extra, settled: dict) -> Optional[Fraction]:
     """x_target = -Q/D on the carrier target + extra, from a partial table.
 
-    settled keeps denominators that evaluated to a value, keyed by
-    (tail, extra); it is only sound while known grows without overwrites.
+    None when a form needs an unknown coordinate or D vanishes.  settled
+    keeps denominators that evaluated to a value, keyed by (tail, extra); it
+    is only sound while known grows without overwrites.
     """
     head, tail = target[:m], target[m:]
     denominator = settled.get((tail, extra))
     if denominator is None:
         denominator = _form_on_known(m, known, (), tail, extra)
-        settled[tail, extra] = denominator
+        if denominator is not None:
+            settled[tail, extra] = denominator
     if not denominator:
-        raise ZeroDenominator(
-            f"denominator form on {extra} vanishes at the known coordinates"
-        )
+        return None
     numerator = _form_on_known(m, known, head, tail, extra)
-    return Fraction(-numerator) / denominator
+    return None if numerator is None else Fraction(-numerator) / denominator
 
 
 class ReconstructionResult(NamedTuple):
@@ -255,10 +221,10 @@ def reconstruct_all(
 
     Carriers for each target are tried shallowest complement first; they
     are enumerated lazily by _carriers, never sorted or stored.  A carrier
-    that fails with a zero denominator or missing prerequisites is skipped,
-    and a target none of whose carriers succeeds is stuck.  budget caps the
-    total number of single-coordinate attempts; the pass stops when it is
-    spent, and every target not yet recovered is stuck.
+    that forces no value, for a zero denominator or missing prerequisites,
+    is skipped, and a target none of whose carriers succeeds is stuck.
+    budget caps the total number of single-coordinate attempts; the pass
+    stops when it is spent, and every target not yet recovered is stuck.
 
     The forms are read through cached per-shape row plans.  A denominator
     that evaluated to a value, zero included, is kept for the rest of the
@@ -289,12 +255,10 @@ def reconstruct_all(
             if attempts == budget:
                 break
             attempts += 1
-            try:
-                found = _forced_value(m, l, known, tgt, extra, settled)
-            except ReconstructionError:
-                continue
-            known[tgt] = _int_if_integral(found)
-            break
+            found = _forced_value(m, known, tgt, extra, settled)
+            if found is not None:
+                known[tgt] = _int_if_integral(found)
+                break
         if attempts == budget:
             break
     stuck = tuple(sorted(key for key in targets if key not in known))

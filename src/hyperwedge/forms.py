@@ -136,13 +136,15 @@ def _row_plan(count: int, m: int, split: int, gap: int):
 def _row_sum(rows, values: Sequence):
     """Signed sum of the rows' products of values, one value per block.
 
-    A row with a falsy value (zero, or None for an unread one) adds nothing
-    and is never multiplied out.
+    A row with a zero value adds nothing and is never multiplied out.  None
+    marks an unknown value: if a row with no zero needs one, the sum is None.
     """
-    dead = sum(1 << b for b, value in enumerate(values) if not value)
-    return sum(
-        math.prod(factors(values), start=sign) for factors, mask, sign in rows if not mask & dead
-    )
+    unknown = sum(1 << b for b, value in enumerate(values) if value is None)
+    zero = sum(1 << b for b, value in enumerate(values) if not value) ^ unknown
+    live = [row for row in rows if not row[1] & zero]
+    if unknown and any(mask & unknown for _, mask, _ in live):
+        return None
+    return sum(math.prod(factors(values), start=sign) for factors, _, sign in live)
 
 
 def _spec_plan(spec: FormSpec):

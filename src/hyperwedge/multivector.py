@@ -199,14 +199,6 @@ class Covector(Frozen):
     def items(self):
         return tuple(sorted(self._coeffs.items()))
 
-    def __add__(self, other):
-        if not isinstance(other, Covector) or other.window != self.window:
-            return NotImplemented
-        merged = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            merged[k] = merged.get(k, Fraction(0)) + v
-        return Covector(self.window, merged)
-
     def __repr__(self):
         body = " + ".join(f"{c}*e^({i})" for i, c in self.items()) or "0"
         return f"<{body} | covector on {self.window}>"

@@ -22,7 +22,6 @@ from .multivector import (
     _plucker_violation,
     contract,
     hodge_star,
-    nilpotency_degree,  # re-exported: stays importable from this module
     wedge,
     wedge_power,
 )
@@ -329,9 +328,9 @@ def contraction_membership(
     """Randomized necessary test through repeated contraction.
 
     Each trial contracts v down to grade m by dense random covectors with
-    entries below 2**19 in absolute value, then checks the l-th power of
-    the result.  Passing every trial is strong evidence, not proof; a
-    failing trial is an exact refutation and is returned with the
+    integer entries in the half-open range [-2**19, 2**19), then checks the
+    l-th power of the result.  Passing every trial is strong evidence, not
+    proof; a failing trial is an exact refutation and is returned with the
     covectors that produced it.
     """
     plain_int("m", m)

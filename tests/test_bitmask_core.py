@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import tuple_kernel as oracle
-from hyperwedge import forms, multivector, varieties
+import hyperwedge
+from hyperwedge import elimination, forms, multivector, varieties
 from hyperwedge.indices import Window
 from hyperwedge.multivector import (
     Covector,
@@ -115,6 +116,18 @@ def test_varieties_binds_no_mask_helper():
     bound = [name for name, value in vars(varieties).items()
              if any(value is helper for helper in helpers)]
     assert bound == []
+
+
+def test_only_boundary_errors_are_exception_classes():
+    # a failed carrier returns None: recovery defines and exports no error
+    def errors(names, namespace):
+        return sorted(name for name in names if isinstance(namespace[name], type)
+                      and issubclass(namespace[name], BaseException))
+
+    assert errors(hyperwedge.__all__, vars(hyperwedge)) == ["DimensionMismatch", "FormatError"]
+    own = [name for name, value in vars(elimination).items()
+           if getattr(value, "__module__", None) == elimination.__name__]
+    assert errors(own, vars(elimination)) == []
 
 
 def test_varieties_binds_no_form_evaluator():

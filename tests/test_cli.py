@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperwedge import cli
 from hyperwedge.cli import main
 from hyperwedge.forms import FormSpec, hpf_eval
 from hyperwedge.indices import Window
@@ -506,6 +507,19 @@ def test_demo_prints_seed_when_randomized(capsys):
     rc = main(["demo", "lift42"])
     assert rc == 0
     assert "seed" in capsys.readouterr().out
+
+
+def test_failing_demo_exits_one(monkeypatch, capsys):
+    def scenario(check, say):
+        check("one plus one", "2", "3")
+
+    monkeypatch.setattr(cli, "_DEMOS", {"broken": ("a check that fails", scenario)})
+    assert main(["demo", "broken"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "demo broken: a check that fails",
+        "  one plus one: expected 2 computed 3 FAIL",
+        "FAIL (1 checks)",
+    ]
 
 
 def test_demo_unknown_name(capsys):

@@ -13,7 +13,8 @@ from conftest import (
     rank_oracle,
 )
 
-from hyperwedge.indices import DimensionMismatch, Window
+from hyperwedge.forms import FormSpec, hpf_multilinear, wedge_via_hpf
+from hyperwedge.indices import DimensionMismatch, GoodParams, Window, is_good
 from hyperwedge.multivector import (
     Covector,
     FormatError,
@@ -504,3 +505,50 @@ def test_vectors_on_random_round_trips():
         w = Window(rng.randint(0, 3), rng.randint(1, 3))
         v = random_multivector(rng, w, rng.randint(0, min(2, w.size)))
         assert multivector_from_obj(multivector_to_obj(v)) == v
+
+
+# ---------------------------------------------------------------- argument checks
+
+W22, W32 = Window(2, 2), Window(3, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: basis(W22, 1) + basis(W22, 1, 2), DimensionMismatch, "cannot combine"),
+        (lambda: basis(W22, 1) + basis(W32, 1), DimensionMismatch, "cannot combine"),
+        (lambda: basis(W22, 3), DimensionMismatch, "outside window"),
+        (lambda: RationalMatrix(W22, [[1] * 4] * 3), DimensionMismatch, "must be 4x4"),
+        (lambda: RationalMatrix.identity(W22).entry(1, -3), DimensionMismatch, "outside window"),
+        (
+            lambda: RationalMatrix.identity(W22).matmul(RationalMatrix.identity(W32)),
+            DimensionMismatch,
+            "windows differ",
+        ),
+        (
+            lambda: gl_apply(RationalMatrix.identity(W32), basis(W22, 1)),
+            DimensionMismatch,
+            "windows differ",
+        ),
+        (
+            lambda: hpf_multilinear(FormSpec(1, 2, (1, 2)), [basis(W22, 1), basis(W32, 2)]),
+            DimensionMismatch,
+            "different windows",
+        ),
+        (
+            lambda: hpf_multilinear(FormSpec(1, 2, (1, 3)), [basis(W22, 1)] * 2),
+            DimensionMismatch,
+            "do not fit",
+        ),
+        (lambda: wedge_via_hpf([basis(W22)] * 2), DimensionMismatch, "positive grade"),
+        (lambda: is_good([-1, -1], [1, 2], GoodParams(2, 2, 2, 2)), ValueError, "repeat"),
+    ],
+    ids=[
+        "add-grades", "add-windows", "basis-window", "matrix-shape", "matrix-entry",
+        "matmul-windows", "gl-apply-windows", "multilinear-windows", "multilinear-labels",
+        "wedge-via-hpf-grade", "is-good-repeat",
+    ],
+)
+def test_argument_checks_raise_at_the_boundary(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

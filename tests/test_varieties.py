@@ -13,6 +13,7 @@ from hyperwedge.multivector import (
     contract,
     gl_apply,
     hodge_star,
+    nilpotency_degree,
     rank_two_form,
     transition,
     wedge,
@@ -31,7 +32,6 @@ from hyperwedge.varieties import (
     in_hpf_component,
     in_pf,
     in_two_sided,
-    nilpotency_degree,
     odd_partition_check,
     pf_contraction_identically_zero,
     pf_contraction_witness,
