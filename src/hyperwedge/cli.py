@@ -124,50 +124,44 @@ def cmd_ideal(args) -> int:
     return 0
 
 
-def _member_flag_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+# the flag sets member takes, each with the locus it names; --max-bound
+# with --form runs the randomized contraction test instead
+_MEMBER_LOCI = {
+    ("gr",): lambda args: VarietySpec.grassmannian(),
+    ("pf",): lambda args: VarietySpec.pf(args.pf),
+    ("form",): lambda args: VarietySpec.hpf(*args.form),
+    ("dual",): lambda args: VarietySpec.dual_hpf(*args.dual),
+    ("form", "dual"): lambda args: VarietySpec.two_sided(*args.form, *args.dual),
+    ("form", "max_bound"): None,
+}
 
 
 def cmd_member(args) -> int:
-    has_pf = args.pf is not None
-    has_form = args.form is not None
-    has_dual = args.dual is not None
-    if not (args.gr or has_pf or has_form or has_dual):
-        return _member_flag_error("pick a locus: --gr, --pf L, --form M L, or --dual R S")
-    if args.gr and (has_pf or has_form or has_dual or args.max_bound):
-        return _member_flag_error("--gr does not combine with other locus flags")
-    if has_pf and (has_form or has_dual or args.max_bound):
-        return _member_flag_error("--pf does not combine with other locus flags")
-    if args.max_bound and (not has_form or has_dual):
-        return _member_flag_error("--max-bound needs --form M L and nothing else")
-
+    given = tuple(
+        flag for flag in ("gr", "pf", "form", "dual", "max_bound")
+        if getattr(args, flag) is not None and getattr(args, flag) is not False
+    )
+    if given not in _MEMBER_LOCI:
+        raise ValueError(
+            "pick one locus: --gr, --pf L, --form M L, --dual R S, "
+            "--form M L --dual R S, or --form M L --max-bound"
+        )
     v = _load_multivector(args.source)
     if args.max_bound:
         m, l = args.form
         spec_text = f"maxbound({m},{l})"
         report = contraction_membership(m, l, v, trials=args.trials, seed=args.seed)
     else:
-        if args.gr:
-            spec = VarietySpec.grassmannian()
-        elif has_pf:
-            spec = VarietySpec.pf(args.pf)
-        elif has_form and has_dual:
-            spec = VarietySpec.two_sided(*args.form, *args.dual)
-        elif has_form:
-            spec = VarietySpec.hpf(*args.form)
-        else:
-            spec = VarietySpec.dual_hpf(*args.dual)
+        spec = _MEMBER_LOCI[given](args)
         spec_text = spec.describe()
         report = check_membership(spec, v)
 
-    obj = report.to_obj()
     doc = {
         "spec": spec_text,
         "verdict": _verdict(report),
-        "certificate": obj["certificate"],
-        "trials": obj["trials"],
-        "seed": obj["seed"],
+        "certificate": report.certificate,
+        "trials": report.trials,
+        "seed": report.seed,
     }
     _emit(args, json.dumps(doc, indent=2))
     return 0 if report.member else 1
@@ -309,12 +303,9 @@ _DEMOS = {
 
 
 def cmd_demo(args) -> int:
-    entry = _DEMOS.get(args.name)
-    if entry is None:
-        known = ", ".join(_DEMOS)
-        print(f"error: unknown demo {args.name!r}; known: {known}", file=sys.stderr)
-        return 2
-    blurb, scenario = entry
+    if args.name not in _DEMOS:
+        raise ValueError(f"unknown demo {args.name!r}; known: {', '.join(_DEMOS)}")
+    blurb, scenario = _DEMOS[args.name]
     print(f"demo {args.name}: {blurb}")
     failures = 0
 

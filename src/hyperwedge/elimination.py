@@ -54,6 +54,7 @@ from .indices import (
     Frozen,
     GoodParams,
     Window,
+    _diagram,
     exact,
     index_set,
     plain_int,
@@ -185,17 +186,9 @@ class ReconstructionResult(NamedTuple):
 
 
 def _diagram_order(iset):
-    """(size, young_diagram, iset) for an ascending size-p window key.
-
-    The steps are young_diagram's, weakly decreasing; the diagram is their
-    conjugate, built from the bottom row up without re-checking the key.
-    """
-    steps = [k - (i if i > 0 else i + 1) for k, i in enumerate(iset, start=1)]
-    diagram = []
-    for count in range(len(steps), 0, -1):
-        if steps[count - 1] > len(diagram):
-            diagram += [count] * (steps[count - 1] - len(diagram))
-    return sum(diagram), tuple(diagram), iset
+    """(size, young_diagram, iset) for an ascending size-p window key, unchecked."""
+    diagram = _diagram(iset)
+    return sum(diagram), diagram, iset
 
 
 def _carriers(larger, room: int):

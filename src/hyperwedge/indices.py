@@ -36,9 +36,12 @@ def _as_signed(value) -> int:
 
 
 def exact(value) -> Fraction:
-    """The one coefficient rule: an exact rational; floats raise TypeError."""
-    if isinstance(value, float):
-        raise TypeError("floating point coefficients are not allowed")
+    """The one coefficient rule: an int (not a bool) or a Fraction, as a Fraction.
+
+    Anything else raises TypeError: a float, a Decimal, or a string like "1/2".
+    """
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise TypeError(f"coefficients must be int or Fraction, got {value!r}")
     return Fraction(value)
 
 
@@ -289,12 +292,18 @@ def is_good(
     return True
 
 
-def conjugate_partition(parts: Iterable[int]) -> Diagram:
-    """Transpose of a Young diagram given as weakly decreasing row lengths."""
-    rows = tuple(parts)
-    if not rows:
-        return ()
-    return tuple(sum(1 for q in rows if q >= j) for j in range(1, rows[0] + 1))
+def _diagram(iset: IndexSet) -> Diagram:
+    """young_diagram of an ascending size-p window key, unchecked.
+
+    The steps k - shifted(i_k) are weakly decreasing; row j of their conjugate
+    counts the steps at least j, so it is built from the bottom row up.
+    """
+    steps = [k - (i if i > 0 else i + 1) for k, i in enumerate(iset, start=1)]
+    diagram: list[int] = []
+    for count in range(len(steps), 0, -1):
+        if steps[count - 1] > len(diagram):
+            diagram += [count] * (steps[count - 1] - len(diagram))
+    return tuple(diagram)
 
 
 def young_diagram(indices: Iterable[int], window: Window) -> Diagram:
@@ -311,8 +320,4 @@ def young_diagram(indices: Iterable[int], window: Window) -> Diagram:
         raise DimensionMismatch(
             f"coordinate has {len(iset)} indices, window {window} needs {window.p}"
         )
-    steps = []
-    for k, i in enumerate(iset, start=1):
-        shifted = i if i > 0 else i + 1
-        steps.append(k - shifted)
-    return conjugate_partition(tuple(s for s in steps if s > 0))
+    return _diagram(iset)

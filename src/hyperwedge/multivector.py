@@ -2,8 +2,8 @@
 
 A multivector of grade g in window (n, p) is a finite rational combination of
 basis wedges e_I, where I runs over ascending g-subsets of the window labels.
-Coefficients are `fractions.Fraction` throughout; floating point input is
-rejected.  The module also provides covectors (finite functionals used for
+Coefficients are `fractions.Fraction` throughout; input is an int or a
+Fraction.  The module also provides covectors (finite functionals used for
 contraction), dense rational matrices with exact determinant and rank, the
 four window-transition maps, the Hodge star, and the induced GL action.
 
@@ -115,7 +115,10 @@ class Multivector(Frozen):
         return MappingProxyType(self._terms)
 
     def coeff(self, indices: Iterable[int]) -> Fraction:
-        return self._terms.get(ascending_key(indices), Fraction(0))
+        key = ascending_key(indices)
+        if not self.window.contains_set(key):
+            raise DimensionMismatch(f"indices {key} outside window {self.window}")
+        return self._terms.get(key, Fraction(0))
 
     def support(self) -> tuple[IndexSet, ...]:
         return tuple(sorted(self._terms))
@@ -194,7 +197,9 @@ class Covector(Frozen):
         return cls(window, {label: Fraction(1)})
 
     def coeff(self, label: int) -> Fraction:
-        return self._coeffs.get(_as_signed(label), Fraction(0))
+        if _as_signed(label) not in self.window:
+            raise DimensionMismatch(f"label {label} outside window {self.window}")
+        return self._coeffs.get(label, Fraction(0))
 
     def items(self):
         return tuple(sorted(self._coeffs.items()))

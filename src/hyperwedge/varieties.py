@@ -3,8 +3,8 @@
 Every test here is exact over the rationals.  Reports carry a certificate:
 a violated equation with its value, a nonvanishing power coordinate, or a
 note that the window is too small for any equation to exist.  The two
-randomized procedures (contraction trials, odd-partition sampling) draw
-from a seeded generator, so equal inputs and seeds give equal output.
+randomized procedures (contraction trials, odd-partition sampling) seed a
+generator with a nonnegative int, so equal inputs and seeds give equal output.
 """
 
 import math
@@ -107,8 +107,6 @@ def in_pf(l: int, v: Multivector) -> MembershipReport:
     Runs through the width-2 locus test so a refutation names a violated
     pf form, not just the surviving power coordinate.
     """
-    if v.grade != 2:
-        raise DimensionMismatch(f"expected a two-form, got grade {v.grade}")
     return in_hpf(2, l, v)
 
 
@@ -284,6 +282,7 @@ def type_witness(ts: TypeSpec, window: Window, seed: int) -> Multivector:
     Factors are arbitrary elements of their grade, not just products of
     vectors.  Each summand is redrawn until its product is nonzero.
     """
+    plain_int("seed", seed, 0)
     if ts.grade > window.size:
         raise DimensionMismatch(
             f"total grade {ts.grade} exceeds window size {window.size}"
@@ -312,6 +311,7 @@ def odd_partition_check(
     survive, so the call is refused rather than answered.
     """
     plain_int("samples", samples)
+    plain_int("seed", seed, 0)
     if not any(part % 2 for part in ts.pi):
         raise ValueError("partition has no odd part")
     rng = random.Random(seed)
@@ -336,6 +336,7 @@ def contraction_membership(
     plain_int("m", m)
     plain_int("l", l)
     plain_int("trials", trials)
+    plain_int("seed", seed, 0)
     if v.grade < m:
         raise DimensionMismatch(f"cannot contract grade {v.grade} down to {m}")
     labels = v.window.elements()

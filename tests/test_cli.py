@@ -528,6 +528,40 @@ def test_demo_unknown_name(capsys):
     assert "nope" in err
 
 
+ERROR_PATHS = {
+    "flag-set": (["member", "--gr", "--pf", "2", "{v}"], 2, "pick one locus: --gr, --pf L"),
+    "max-bound-alone": (["member", "--max-bound", "{v}"], 2, "pick one locus"),
+    "no-locus": (["member", "{v}"], 2, "pick one locus"),
+    "unknown-demo": (["demo", "nope"], 2, "unknown demo 'nope'; known: gr24, lift42"),
+    "missing-file": (["star", "{absent}"], 2, "No such file"),
+    "directory": (["star", "{dir}"], 2, "directory"),
+    "malformed-json": (["star", "{bad}"], 2, "Expecting property name"),
+    "negative-seed": (
+        ["member", "--max-bound", "--form", "2", "3", "--seed=-1", "{t}"], 2,
+        "seed must be a nonnegative integer, got -1",
+    ),
+    "dimension": (["member", "--pf", "2", "{t}"], 3, "locus lives in grade 2, argument has 3"),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", ERROR_PATHS.values(), ids=ERROR_PATHS)
+def test_each_error_prints_one_line_from_main(argv, code, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    paths = {
+        "v": save(tmp_path / "v.json", split_pair()),
+        "t": save(tmp_path / "t.json", trivector_t()[0]),
+        "absent": str(tmp_path / "absent.json"),
+        "dir": str(tmp_path),
+        "bad": str(bad),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+
+
 # ------------------------------------------------------ strict input rules
 
 @pytest.mark.parametrize("literal", ["1_0", "+1", "\u0661", " 1"])

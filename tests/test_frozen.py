@@ -1,6 +1,7 @@
 """The five immutable __slots__ classes share indices.Frozen: they pickle, copy and refuse writes."""
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ PAIR = GoodParams(2, 2, 2, 2)
 
 OBJECTS = [
     lambda: PLANES,
-    lambda: Covector(Window(2, 3), {-2: 1, 3: "1/2"}),
+    lambda: Covector(Window(2, 3), {-2: 1, 3: Fraction(1, 2)}),
     lambda: RationalMatrix.from_function(Window(1, 2), lambda r, c: r * c + 1),
     lambda: WedgePolynomial(2, {((1, 2), (3, 4)): 3}, W04, "pf"),
     lambda: good_projection(POINT, PAIR),

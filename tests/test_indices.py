@@ -8,7 +8,6 @@ from hyperwedge.indices import (
     DimensionMismatch,
     GoodParams,
     Window,
-    conjugate_partition,
     enumerate_partitions,
     index_set,
     is_good,
@@ -55,6 +54,20 @@ def integer_partitions(n, max_part=None):
     for first in range(min(n, max_part), 0, -1):
         for rest in integer_partitions(n - first, first):
             yield (first,) + rest
+
+
+def conjugate_partition(parts):
+    """Transpose of a Young diagram given as weakly decreasing row lengths."""
+    rows = tuple(parts)
+    if not rows:
+        return ()
+    return tuple(sum(1 for q in rows if q >= j) for j in range(1, rows[0] + 1))
+
+
+def steps_diagram(key):
+    """young_diagram by its definition: the conjugate of the positive label steps."""
+    steps = [k - (i if i > 0 else i + 1) for k, i in enumerate(key, start=1)]
+    return conjugate_partition(s for s in steps if s > 0)
 
 
 # ---------------------------------------------------------------- windows
@@ -276,6 +289,12 @@ def test_young_diagram_injective_per_window():
             assert d not in seen, (combo, seen.get(d))
             seen[d] = combo
         assert seen[()] == tuple(range(1, w.p + 1))
+
+
+@pytest.mark.parametrize("window", [Window(2, 2), Window(3, 5), Window(5, 3), Window(6, 4), Window(4, 0)])
+def test_young_diagram_is_the_conjugate_of_its_steps(window):
+    for key in itertools.combinations(window.elements(), window.p):
+        assert young_diagram(key, window) == steps_diagram(key)
 
 
 def test_conjugate_partition_round_trip():
