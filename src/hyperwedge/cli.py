@@ -146,11 +146,15 @@ def cmd_member(args) -> int:
             "pick one locus: --gr, --pf L, --form M L, --dual R S, "
             "--form M L --dual R S, or --form M L --max-bound"
         )
+    if not args.max_bound and (args.trials, args.seed) != (None, None):
+        raise ValueError("--trials and --seed need --max-bound")
     v = _load_multivector(args.source)
     if args.max_bound:
         m, l = args.form
         spec_text = f"maxbound({m},{l})"
-        report = contraction_membership(m, l, v, trials=args.trials, seed=args.seed)
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        report = contraction_membership(m, l, v, trials=trials, seed=seed)
     else:
         spec = _MEMBER_LOCI[given](args)
         spec_text = spec.describe()
@@ -379,8 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mirror-side locus; with --form, both sides")
     mem.add_argument("--max-bound", dest="max_bound", action="store_true",
                      help="randomized contraction test against the maximal locus")
-    mem.add_argument("--trials", type=parse_integer, default=DEFAULT_TRIALS, metavar="N")
-    mem.add_argument("--seed", type=parse_integer, default=DEFAULT_SEED, metavar="S")
+    mem.add_argument("--trials", type=parse_integer, metavar="N",
+                     help=f"with --max-bound: random draws (default {DEFAULT_TRIALS})")
+    mem.add_argument("--seed", type=parse_integer, metavar="S",
+                     help=f"with --max-bound: random seed (default {DEFAULT_SEED})")
     out_flag(mem)
     mem.add_argument("source", help="multivector file, or - for stdin")
     mem.set_defaults(handler=cmd_member)

@@ -18,11 +18,11 @@ without building polynomials: one coordinate key and one lookup per
 distinct block, not per row.  Each block key is spliced, not sorted: the
 block's labels from the head of I, then the rest of I, then its extra
 labels, which is ascending because the extras lie above I.  A full
-recovery pass clears the denominators of the known values once and reads a
-plain table of ints; every result is still an exact Fraction.  A carrier
-forces nothing, and yields None, when a form needs a coordinate that is
-not known or the denominator vanishes; the pass then tries the next one,
-and no failed carrier raises.
+recovery pass clears the denominators of the known values once, so its
+table starts as plain ints; each recovered value joins it as a Fraction,
+and every result is exact.  A carrier forces nothing, and yields None,
+when a form needs a coordinate that is not known or the denominator
+vanishes; the pass then tries the next one, and no failed carrier raises.
 
 A full recovery decides each missing coordinate once, in diagram order.
 One pass is enough: every denominator key is tail + (an m-block of extra
@@ -55,8 +55,7 @@ from .indices import (
     GoodParams,
     Window,
     _diagram,
-    exact,
-    index_set,
+    key_table,
     plain_int,
 )
 from .multivector import (
@@ -71,10 +70,11 @@ from .multivector import (
 class CoordinateAssignment(Frozen):
     """Partially known top-grade coordinates over a window.
 
-    known maps size-p index sets to exact rationals; every other size-p
-    subset counts as missing.  params fixes the goodness thresholds the
-    assignment was produced under.  _trusted(window, grade, known, params)
-    adopts ascending size-p window keys and Fraction values unchecked.
+    known maps size-p window keys, strictly ascending and never sorted, to
+    exact rationals, as a mapping or pairs; every other size-p subset counts
+    as missing.  params fixes the goodness thresholds the assignment was
+    produced under.  _trusted(window, grade, known, params) adopts ascending
+    size-p window keys and Fraction values unchecked.
     """
 
     __slots__ = ("window", "grade", "_known", "params")
@@ -85,17 +85,7 @@ class CoordinateAssignment(Frozen):
                 f"assignment grade must equal the window grade {window.p}, got {grade}"
             )
         params = GoodParams(*params)
-        store = {}
-        for key, value in known.items():
-            iset = index_set(key, window=window)
-            if iset in store:
-                raise ValueError(f"coordinate {iset} is given twice")
-            if len(iset) != grade:
-                raise DimensionMismatch(
-                    f"coordinate {iset} has size {len(iset)}, expected {grade}"
-                )
-            store[iset] = exact(value)
-        self._fill(window, grade, store, params)
+        self._fill(window, grade, key_table(window, grade, known), params)
 
     @property
     def known(self):
@@ -202,11 +192,6 @@ def _carriers(larger, room: int):
         yield extra[::-1]
 
 
-def _int_if_integral(value: Fraction):
-    """Integral values as int, which multiplies far faster than Fraction."""
-    return value.numerator if value.denominator == 1 else value
-
-
 def reconstruct_all(
     m: int, l: int, projected: CoordinateAssignment, budget: Optional[int] = None
 ) -> ReconstructionResult:
@@ -250,7 +235,7 @@ def reconstruct_all(
             attempts += 1
             found = _forced_value(m, known, tgt, extra, settled)
             if found is not None:
-                known[tgt] = _int_if_integral(found)
+                known[tgt] = found
                 break
         if attempts == budget:
             break

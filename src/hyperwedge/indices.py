@@ -10,15 +10,16 @@ unordered partitions into equal blocks, the goodness predicate on co-finite
 index sets, and the Young-diagram indexing of window coordinates.
 
 The package's argument checks live here too, one per kind of argument: the
-label rule, exact coefficients, and plain-integer and even-width parameters.
-Nothing is coerced: True, 1.0 and "1" are rejected, never read as 1.
+label rule, exact coefficients, plain-integer and even-width parameters, and
+the coordinate-key rule with its table builder.  Nothing is coerced: True,
+1.0 and "1" are rejected, never read as 1, and a key is never sorted.
 """
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 IndexSet = tuple[int, ...]
 Diagram = tuple[int, ...]
@@ -60,8 +61,15 @@ def even_width(name: str, value) -> int:
     return value
 
 
-def ascending_key(indices: Iterable[int]) -> IndexSet:
-    """Labels that must already be strictly ascending, as a tuple."""
+def ascending_key(
+    indices: Iterable[int], window: Window | None = None, size: int | None = None
+) -> IndexSet:
+    """The one coordinate-key rule: labels already strictly ascending, as a tuple.
+
+    A key is never sorted, so x_(2,1) is refused rather than read as x_(1,2).
+    A given window must hold every label and a given size must be the key's
+    length; either misfit raises DimensionMismatch.
+    """
     key = tuple(indices)
     prev = None
     for i in key:
@@ -69,7 +77,26 @@ def ascending_key(indices: Iterable[int]) -> IndexSet:
         if prev is not None and prev >= i:
             raise ValueError(f"index set {key} is not strictly ascending")
         prev = i
+    if size is not None and len(key) != size:
+        raise DimensionMismatch(f"indices {key} have size {len(key)}, expected {size}")
+    if window is not None and not window.contains_set(key):
+        raise DimensionMismatch(f"indices {key} outside window {window}")
     return key
+
+
+def key_table(window: Window, size: int, terms) -> dict[IndexSet, Fraction]:
+    """A mapping or (key, value) pairs as {key: Fraction}, zeros kept.
+
+    Each key passes ascending_key for the window and size and is given once;
+    each value passes exact.
+    """
+    table = {}
+    for raw_key, value in terms.items() if isinstance(terms, Mapping) else terms:
+        key = ascending_key(raw_key, window, size)
+        if key in table:
+            raise ValueError(f"term {key} is given twice")
+        table[key] = exact(value)
+    return table
 
 
 def checked_record(name: str, fields: str):

@@ -47,6 +47,7 @@ from .indices import (
     _as_signed,
     ascending_key,
     exact,
+    key_table,
     plain_int,
     sort_with_sign,
 )
@@ -72,20 +73,8 @@ class Multivector(Frozen):
         terms: Mapping[IndexSet, Fraction] | Iterable[tuple[IndexSet, Fraction]] = (),
     ):
         plain_int("grade", grade, 0)
-        store: dict[IndexSet, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for raw_key, raw_coeff in items:
-            key = ascending_key(raw_key)
-            if key in store:
-                raise ValueError(f"term {key} is given twice")
-            if len(key) != grade:
-                raise DimensionMismatch(
-                    f"term {key} has {len(key)} indices, expected grade {grade}"
-                )
-            if not window.contains_set(key):
-                raise DimensionMismatch(f"term {key} is outside window {window}")
-            store[key] = exact(raw_coeff)
-        self._fill(window, grade, {key: coeff for key, coeff in store.items() if coeff})
+        table = key_table(window, grade, terms)
+        self._fill(window, grade, {key: coeff for key, coeff in table.items() if coeff})
 
     # -------------------------------------------------------- constructors
 
@@ -100,13 +89,13 @@ class Multivector(Frozen):
         Sorting contributes the permutation sign; a repeated label yields the
         zero multivector of the matching grade.
         """
-        raw = tuple(indices)
-        iset, sign = sort_with_sign(raw)
+        c = exact(coeff)
+        iset, sign = sort_with_sign(indices)
         if not window.contains_set(iset):
             raise DimensionMismatch(f"indices {iset} outside window {window}")
         if sign == 0:
-            return cls(window, len(raw))
-        return cls(window, len(raw), {iset: sign * exact(coeff)})
+            return cls(window, len(iset))
+        return cls(window, len(iset), {iset: sign * c})
 
     # -------------------------------------------------------- inspection
 
@@ -115,10 +104,7 @@ class Multivector(Frozen):
         return MappingProxyType(self._terms)
 
     def coeff(self, indices: Iterable[int]) -> Fraction:
-        key = ascending_key(indices)
-        if not self.window.contains_set(key):
-            raise DimensionMismatch(f"indices {key} outside window {self.window}")
-        return self._terms.get(key, Fraction(0))
+        return self._terms.get(ascending_key(indices, self.window, self.grade), Fraction(0))
 
     def support(self) -> tuple[IndexSet, ...]:
         return tuple(sorted(self._terms))

@@ -31,12 +31,14 @@ Monomial = tuple[IndexSet, ...]
 
 def monomial(factors: Iterable[Iterable[int]]) -> Monomial:
     """Canonical product key: validated factors in sorted multiset order."""
-    return tuple(sorted(ascending_key(f) for f in factors))
+    return _monomial(factors, None, None)
 
 
-def _require_inside(window: Optional[Window], factor: IndexSet):
-    if window is not None and not window.contains_set(factor):
-        raise DimensionMismatch(f"variable {factor} is outside window {window}")
+def _monomial(
+    factors: Iterable[Iterable[int]], window: Optional[Window], grade: Optional[int]
+) -> Monomial:
+    """monomial, each factor also held to the window and grade by ascending_key."""
+    return tuple(sorted(ascending_key(f, window, grade) for f in factors))
 
 
 class WedgePolynomial(Frozen):
@@ -59,13 +61,7 @@ class WedgePolynomial(Frozen):
         store: dict[Monomial, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for raw_mono, raw_coeff in items:
-            mono = monomial(raw_mono)
-            for factor in mono:
-                if len(factor) != grade:
-                    raise DimensionMismatch(
-                        f"variable {factor} has size {len(factor)}, expected {grade}"
-                    )
-                _require_inside(window, factor)
+            mono = _monomial(raw_mono, window, grade)
             coeff = store.get(mono, Fraction(0)) + exact(raw_coeff)
             if coeff:
                 store[mono] = coeff
@@ -91,7 +87,7 @@ class WedgePolynomial(Frozen):
         return MappingProxyType(self._terms)
 
     def coeff(self, factors: Iterable[Iterable[int]]) -> Fraction:
-        return self._terms.get(monomial(factors), Fraction(0))
+        return self._terms.get(_monomial(factors, self.window, self.grade), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -106,8 +102,7 @@ class WedgePolynomial(Frozen):
     def with_window(self, window: Optional[Window]) -> "WedgePolynomial":
         """The same canonical terms, checked only against the new window."""
         for mono in self._terms:
-            for factor in mono:
-                _require_inside(window, factor)
+            _monomial(mono, window, self.grade)
         return WedgePolynomial._trusted(self.grade, self._terms, window, self.label)
 
     # ---------------------------------------------------------- arithmetic
@@ -193,20 +188,15 @@ def poly_eval(p: WedgePolynomial, v: Multivector) -> Fraction:
         raise DimensionMismatch(
             f"polynomial over grade {p.grade} evaluated at grade {v.grade}"
         )
-    if p.window is not None:
-        if v.window != p.window:
-            raise DimensionMismatch(
-                f"polynomial lives in {p.window}, argument in {v.window}"
-            )
-    else:
-        for mono in p._terms:
-            for factor in mono:
-                _require_inside(v.window, factor)
+    if p.window is None:
+        p.with_window(v.window)  # every variable must fit the argument's window
+    elif v.window != p.window:
+        raise DimensionMismatch(f"polynomial lives in {p.window}, argument in {v.window}")
     total = Fraction(0)
     for mono, coeff in p._terms.items():
         value = coeff
         for factor in mono:
-            value *= v.coeff(factor)
+            value *= v._terms.get(factor, 0)
             if not value:
                 break
         total += value

@@ -1,9 +1,11 @@
 """One rule per argument kind, checked at every entry point that takes one.
 
 Coefficients are int (not bool) or Fraction, seeds are nonnegative plain
-ints, and a lookup outside the window raises.  The last test reaches the
-statements that no other test runs, with a monkeypatch where the theorem
-makes a branch unreachable.
+ints, a lookup outside the window raises, and a coordinate key meets one
+rule, the same on construction and lookup: strictly ascending, never
+sorted, inside the window and of the table's grade.  The last test reaches
+the statements that no other test runs, with a monkeypatch where the
+theorem makes a branch unreachable.
 """
 from decimal import Decimal
 from fractions import Fraction
@@ -25,6 +27,7 @@ from hyperwedge.varieties import (
 )
 
 W02, W23 = Window(0, 2), Window(2, 3)
+PAIR = GoodParams(2, 2, 2, 2)
 LINE = Multivector.basis(W23, (1,))
 VARIABLE = WedgePolynomial.variable((1, 2))
 
@@ -37,9 +40,7 @@ COEFFICIENT_ENTRIES = {
     "RationalMatrix": lambda c: RationalMatrix.from_function(W02, lambda r, col: c),
     "WedgePolynomial": lambda c: WedgePolynomial(2, {((1, 2),): c}),
     "poly_scale": lambda c: poly_scale(VARIABLE, c),
-    "CoordinateAssignment": lambda c: CoordinateAssignment(
-        W02, 2, {(1, 2): c}, GoodParams(2, 2, 2, 2)
-    ),
+    "CoordinateAssignment": lambda c: CoordinateAssignment(W02, 2, {(1, 2): c}, PAIR),
 }
 NOT_COEFFICIENTS = [True, False, "1", "1e3", " 1/2 ", 1.0, 0.5, Decimal("1")]
 
@@ -85,6 +86,41 @@ def test_lookups_outside_the_window_raise():
         f.coeff(9)
     with pytest.raises(DimensionMismatch, match="label -1 outside window"):
         f.coeff(-1)
+
+
+def test_basis_checks_the_coefficient_of_a_zero_wedge():
+    # a repeated label gives the zero multivector, but 1.5 is still no coefficient
+    assert Multivector.basis(W23, (1, 1), 3) == Multivector.zero(W23, 2)
+    with pytest.raises(TypeError, match="must be int or Fraction"):
+        Multivector.basis(W23, (1, 1), 1.5)
+
+
+W22 = Window(2, 2)
+PLANE = Multivector.basis(W22, (1, 2))
+PLANE_VARIABLE = WedgePolynomial.variable((1, 2), W22)
+KEY_ENTRIES = {
+    "Multivector": lambda key: Multivector(W22, 2, {key: 1}),
+    "Multivector.coeff": lambda key: PLANE.coeff(key),
+    "CoordinateAssignment": lambda key: CoordinateAssignment(W22, 2, {key: 1}, PAIR),
+    "CoordinateAssignment pairs": lambda key: CoordinateAssignment(W22, 2, [(key, 1)], PAIR),
+    "WedgePolynomial": lambda key: WedgePolynomial(2, {(key, (1, 2)): 1}, W22),
+    "WedgePolynomial.coeff": lambda key: PLANE_VARIABLE.coeff([(1, 2), key]),
+}
+BAD_KEYS = {
+    "unsorted": ((2, 1), ValueError, "index set (2, 1) is not strictly ascending"),
+    "repeated": ((1, 1), ValueError, "index set (1, 1) is not strictly ascending"),
+    "outside": ((1, 3), DimensionMismatch, "indices (1, 3) outside window (2,2)"),
+    "size": ((-1, 1, 2), DimensionMismatch, "indices (-1, 1, 2) have size 3, expected 2"),
+    "bool": ((True, 2), ValueError, "index labels must be nonzero integers, got True"),
+}
+
+
+@pytest.mark.parametrize("key, error, message", BAD_KEYS.values(), ids=BAD_KEYS)
+def test_one_key_rule_on_construction_and_lookup(key, error, message):
+    for name, entry in KEY_ENTRIES.items():
+        with pytest.raises(error) as caught:
+            entry(key)
+        assert type(caught.value) is error and str(caught.value) == message, name
 
 
 def test_in_pf_mismatch_is_in_hpfs():

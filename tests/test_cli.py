@@ -379,7 +379,7 @@ def test_member_max_bound_passes_u(tmp_path, capsys):
     assert rc == 0
     assert doc["certificate"]["kind"] == "trials_passed"
     assert doc["trials"] == 64
-    assert doc["seed"] is not None
+    assert doc["seed"] == 1729
 
 
 def test_member_flag_validation(tmp_path, capsys):
@@ -391,6 +391,24 @@ def test_member_flag_validation(tmp_path, capsys):
     assert main(["member", "--pf", "2", "--form", "2", "2", src]) == 2
     assert main(["member", "--form", "2", "2", "--dual", "2", "2", "--max-bound", src]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gr", "--seed=-5", "--trials=0"],
+        ["--gr", "--seed", "5"],
+        ["--pf", "2", "--seed", "1729"],
+        ["--form", "2", "2", "--trials", "4"],
+        ["--dual", "2", "2", "--trials", "64", "--seed", "1"],
+    ],
+)
+def test_member_trials_and_seed_need_max_bound(flags, tmp_path, capsys):
+    # without --max-bound no draw is made, so a seed would print as null and
+    # a bad value would pass unchecked
+    src = save(tmp_path / "v.json", split_pair())
+    assert main(["member", *flags, src]) == 2
+    assert capsys.readouterr() == ("", "error: --trials and --seed need --max-bound\n")
 
 
 def test_member_rejects_odd_width(tmp_path, capsys):

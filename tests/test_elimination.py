@@ -755,15 +755,18 @@ def test_assignment_validation():
         CoordinateAssignment(w, 2, {(1, 3): Fraction(1)}, PAIR)
     with pytest.raises(TypeError):
         CoordinateAssignment(w, 2, {(1, 2): 0.5}, PAIR)
-    ordered = CoordinateAssignment(w, 2, {(2, 1): Fraction(4)}, PAIR)
-    assert ordered.known[(1, 2)] == 4
+    # x_(2,1) is -x_(1,2), so an unsorted key is refused, not sorted with its sign dropped
+    with pytest.raises(ValueError, match=r"index set \(2, 1\) is not strictly ascending"):
+        CoordinateAssignment(w, 2, {(2, 1): Fraction(4)}, PAIR)
 
 
 def test_assignment_rejects_two_keys_for_one_coordinate():
     # (1, 2) and (2, 1) name the same coordinate; neither value may win silently
     w = Window(2, 2)
-    with pytest.raises(ValueError, match="twice"):
+    with pytest.raises(ValueError, match="not strictly ascending"):
         CoordinateAssignment(w, 2, {(1, 2): Fraction(1), (2, 1): Fraction(5)}, PAIR)
+    with pytest.raises(ValueError, match=r"term \(1, 2\) is given twice"):
+        CoordinateAssignment(w, 2, [((1, 2), Fraction(1)), ((1, 2), Fraction(5))], PAIR)
 
 
 def test_assignment_serialization_round_trip():
