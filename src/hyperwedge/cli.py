@@ -125,14 +125,14 @@ def cmd_ideal(args) -> int:
 
 
 # the flag sets member takes, each with the locus it names; --max-bound
-# with --form runs the randomized contraction test instead
+# with --form runs the randomized contraction test on that locus's m and l
 _MEMBER_LOCI = {
     ("gr",): lambda args: VarietySpec.grassmannian(),
     ("pf",): lambda args: VarietySpec.pf(args.pf),
     ("form",): lambda args: VarietySpec.hpf(*args.form),
     ("dual",): lambda args: VarietySpec.dual_hpf(*args.dual),
     ("form", "dual"): lambda args: VarietySpec.two_sided(*args.form, *args.dual),
-    ("form", "max_bound"): None,
+    ("form", "max_bound"): lambda args: VarietySpec.hpf(*args.form),
 }
 
 
@@ -149,14 +149,13 @@ def cmd_member(args) -> int:
     if not args.max_bound and (args.trials, args.seed) != (None, None):
         raise ValueError("--trials and --seed need --max-bound")
     v = _load_multivector(args.source)
+    spec = _MEMBER_LOCI[given](args)
     if args.max_bound:
-        m, l = args.form
-        spec_text = f"maxbound({m},{l})"
+        spec_text = f"maxbound({spec.m},{spec.l})"
         trials = DEFAULT_TRIALS if args.trials is None else args.trials
         seed = DEFAULT_SEED if args.seed is None else args.seed
-        report = contraction_membership(m, l, v, trials=trials, seed=seed)
+        report = contraction_membership(spec.m, spec.l, v, trials=trials, seed=seed)
     else:
-        spec = _MEMBER_LOCI[given](args)
         spec_text = spec.describe()
         report = check_membership(spec, v)
 

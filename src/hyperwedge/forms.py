@@ -35,6 +35,7 @@ from .indices import (
     DimensionMismatch,
     IndexSet,
     Window,
+    ascending_key,
     checked_record,
     enumerate_partitions,
     even_width,
@@ -55,10 +56,8 @@ class FormSpec(checked_record("FormSpec", "m l indices tail")):
     def __new__(cls, m: int, l: int, indices: IndexSet, tail: IndexSet = ()):
         plain_int("width m", m)
         plain_int("degree l", l)
-        members = index_set(indices)
+        members = ascending_key(index_set(indices), None, m * l)
         extra = index_set(tail) if tail else ()
-        if len(members) != m * l:
-            raise DimensionMismatch(f"need {m * l} member labels, got {len(members)}")
         if set(members) & set(extra):
             raise ValueError("tail overlaps the member set")
         return tuple.__new__(cls, (m, l, members, extra))
@@ -167,8 +166,8 @@ def hpf_eval(spec: FormSpec, v: Multivector) -> Fraction:
         raise DimensionMismatch(
             f"form wants grade {spec.grade}, argument has grade {v.grade}"
         )
-    if not v.window.contains_set(spec.indices + spec.tail):
-        raise DimensionMismatch(f"form labels do not fit window {v.window}")
+    ascending_key(spec.indices, v.window)
+    ascending_key(spec.tail, v.window)
     keys, rows = _spec_plan(spec)
     return Fraction(_row_sum(rows, [v._terms.get(key, 0) for key in keys]))
 
@@ -195,8 +194,7 @@ def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
             raise DimensionMismatch(
                 f"arguments must have grade {spec.m}, got {v.grade}"
             )
-    if not window.contains_set(spec.indices):
-        raise DimensionMismatch(f"form labels do not fit window {window}")
+    ascending_key(spec.indices, window)
     orders = [
         (order, (-1) ** (spec.m * sum(a > b for a, b in itertools.combinations(order, 2))))
         for order in itertools.permutations(range(spec.l))
@@ -242,11 +240,7 @@ def plucker_relation(body: Iterable[int], extension: Iterable[int], window: Wind
     would repeat an index contribute nothing.
     """
     small = index_set(body, window=window)
-    large = index_set(extension, window=window)
-    if len(large) != len(small) + 2:
-        raise DimensionMismatch(
-            f"need the larger set two bigger, got sizes {len(small)} and {len(large)}"
-        )
+    large = ascending_key(index_set(extension), window, len(small) + 2)
     grade = len(small) + 1
     pairs = []
     blocked = set(small)
@@ -275,9 +269,7 @@ def filtration_expansion(
     """
     even_width("m", m)
     plain_int("l", l)
-    base = index_set(members)
-    if len(base) != m * (l + 1):
-        raise DimensionMismatch(f"need {m * (l + 1)} labels, got {len(base)}")
+    base = ascending_key(index_set(members), None, m * (l + 1))
     if pivot not in base:
         raise ValueError(f"pivot {pivot} is not among the labels")
     out = []

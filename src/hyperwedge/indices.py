@@ -11,8 +11,11 @@ index sets, and the Young-diagram indexing of window coordinates.
 
 The package's argument checks live here too, one per kind of argument: the
 label rule, exact coefficients, plain-integer and even-width parameters, and
-the coordinate-key rule with its table builder.  Nothing is coerced: True,
-1.0 and "1" are rejected, never read as 1, and a key is never sorted.
+the coordinate-key rule with its table builder.  The key rule is also the one
+window rule: every label, label set and key that must fit a window, or have a
+given size, is checked by ascending_key, so a misfit reads the same wherever
+it is given.  Nothing is coerced: True, 1.0 and "1" are rejected, never read
+as 1, are in no window, and a key is never sorted.
 """
 from __future__ import annotations
 
@@ -64,11 +67,12 @@ def even_width(name: str, value) -> int:
 def ascending_key(
     indices: Iterable[int], window: Window | None = None, size: int | None = None
 ) -> IndexSet:
-    """The one coordinate-key rule: labels already strictly ascending, as a tuple.
+    """The one coordinate-key and window rule: labels strictly ascending, as a tuple.
 
     A key is never sorted, so x_(2,1) is refused rather than read as x_(1,2).
     A given window must hold every label and a given size must be the key's
-    length; either misfit raises DimensionMismatch.
+    length; either misfit raises DimensionMismatch.  A single label is
+    checked as the one-label key (label,).
     """
     key = tuple(indices)
     prev = None
@@ -168,8 +172,9 @@ class Window(checked_record("Window", "n p")):
     def elements(self) -> IndexSet:
         return tuple(range(-self.n, 0)) + tuple(range(1, self.p + 1))
 
-    def __contains__(self, label: int) -> bool:
-        return (-self.n <= label <= -1) or (1 <= label <= self.p)
+    def __contains__(self, label) -> bool:
+        """True only for a plain nonzero int in range; never coerces, never raises."""
+        return type(label) is int and label != 0 and -self.n <= label <= self.p
 
     def contains_set(self, indices: Iterable[int]) -> bool:
         return all(i in self for i in indices)
@@ -183,7 +188,7 @@ class Window(checked_record("Window", "n p")):
 
 
 def index_set(elems: Iterable[int], window: Window | None = None) -> IndexSet:
-    """Canonical ascending tuple of distinct nonzero labels.
+    """Canonical ascending tuple of distinct nonzero labels, fit to window by ascending_key.
 
     >>> index_set([3, -1, 1])
     (-1, 1, 3)
@@ -192,9 +197,7 @@ def index_set(elems: Iterable[int], window: Window | None = None) -> IndexSet:
     for a, b in zip(out, out[1:]):
         if a == b:
             raise ValueError(f"duplicate index {a}")
-    if window is not None and not window.contains_set(out):
-        raise DimensionMismatch(f"indices {out} do not fit window {window}")
-    return out
+    return ascending_key(out, window)
 
 
 def sort_with_sign(seq: Iterable[int]) -> tuple[IndexSet, int]:
@@ -219,17 +222,10 @@ def sort_with_sign(seq: Iterable[int]) -> tuple[IndexSet, int]:
 def shuffle_sign(blocks: Iterable[Iterable[int]]) -> int:
     """Sign of the permutation taking the sorted union to the concatenation.
 
-    Every block must be strictly ascending and the blocks pairwise disjoint;
+    Every block must pass ascending_key and the blocks be pairwise disjoint;
     violations raise ValueError.  The empty family has sign +1.
     """
-    word: list[int] = []
-    for block in blocks:
-        b = [_as_signed(i) for i in block]
-        if any(x >= y for x, y in zip(b, b[1:])):
-            raise ValueError(f"block {tuple(b)} is not strictly ascending")
-        word.extend(b)
-    sorted_word, sign = sort_with_sign(word)
-    del sorted_word
+    sign = sort_with_sign(i for block in blocks for i in ascending_key(block))[1]
     if sign == 0:
         raise ValueError("blocks overlap")
     return sign
@@ -342,9 +338,4 @@ def young_diagram(indices: Iterable[int], window: Window) -> Diagram:
     returned, so {1,...,p} maps to the empty diagram,
     {-1,1,3,4} in window (2,4) to (2), and {-2,1,3,4} there to (2,1).
     """
-    iset = index_set(indices, window=window)
-    if len(iset) != window.p:
-        raise DimensionMismatch(
-            f"coordinate has {len(iset)} indices, window {window} needs {window.p}"
-        )
-    return _diagram(iset)
+    return _diagram(ascending_key(index_set(indices), window, window.p))

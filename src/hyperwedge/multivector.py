@@ -44,7 +44,6 @@ from .indices import (
     Frozen,
     IndexSet,
     Window,
-    _as_signed,
     ascending_key,
     exact,
     key_table,
@@ -91,11 +90,8 @@ class Multivector(Frozen):
         """
         c = exact(coeff)
         iset, sign = sort_with_sign(indices)
-        if not window.contains_set(iset):
-            raise DimensionMismatch(f"indices {iset} outside window {window}")
-        if sign == 0:
-            return cls(window, len(iset))
-        return cls(window, len(iset), {iset: sign * c})
+        ascending_key(dict.fromkeys(iset), window)
+        return cls._trusted(window, len(iset), {iset: sign * c} if sign and c else {})
 
     # -------------------------------------------------------- inspection
 
@@ -171,8 +167,7 @@ class Covector(Frozen):
     def __init__(self, window: Window, coeffs: Mapping[int, Fraction]):
         store = {}
         for label, value in coeffs.items():
-            if _as_signed(label) not in window:
-                raise DimensionMismatch(f"label {label} outside window {window}")
+            ascending_key((label,), window)
             c = exact(value)
             if c:
                 store[label] = c
@@ -183,8 +178,7 @@ class Covector(Frozen):
         return cls(window, {label: Fraction(1)})
 
     def coeff(self, label: int) -> Fraction:
-        if _as_signed(label) not in self.window:
-            raise DimensionMismatch(f"label {label} outside window {self.window}")
+        ascending_key((label,), self.window)
         return self._coeffs.get(label, Fraction(0))
 
     def items(self):
@@ -248,8 +242,7 @@ class RationalMatrix(Frozen):
 
     def _pos(self, label: int) -> int:
         w = self.window
-        if _as_signed(label) not in w:
-            raise DimensionMismatch(f"label {label} outside window {w}")
+        ascending_key((label,), w)
         return label + w.n if label < 0 else label + w.n - 1
 
     def entry(self, row_label: int, col_label: int) -> Fraction:

@@ -331,7 +331,10 @@ def contraction_membership(
     integer entries in the half-open range [-2**19, 2**19), then checks the
     l-th power of the result.  Passing every trial is strong evidence, not
     proof; a failing trial is an exact refutation and is returned with the
-    covectors that produced it.
+    covectors that produced it.  The default seed here is 0, while the CLI's
+    `member --max-bound` defaults to 1729; pass the seed that `member`
+    prints to reproduce its certificate.  Any positive m is accepted here;
+    the CLI takes only even m.
     """
     plain_int("m", m)
     plain_int("l", l)

@@ -159,6 +159,15 @@ def test_only_indices_writes_object_fields():
     assert writers == []
 
 
+def test_only_indices_decides_window_fit():
+    # window fit and set size are decided once, by indices.ascending_key
+    package = Path(multivector.__file__).parent
+    deciders = [path.name for path in sorted(package.glob("*.py"))
+                if path.name != "indices.py"
+                and re.search(r"outside window|fit window|contains_set", path.read_text())]
+    assert deciders == []
+
+
 def test_locus_reports_match_the_tuple_kernel():
     rng = random.Random(2025)
     refuted = dict.fromkeys(("gr", "hpf", "dual", "contraction"), 0)

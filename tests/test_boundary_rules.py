@@ -3,7 +3,9 @@
 Coefficients are int (not bool) or Fraction, seeds are nonnegative plain
 ints, a lookup outside the window raises, and a coordinate key meets one
 rule, the same on construction and lookup: strictly ascending, never
-sorted, inside the window and of the table's grade.  The last test reaches
+sorted, inside the window and of the table's grade.  That rule is also the
+window rule: a label outside its window reads the same misfit wherever it
+is given, and only a plain nonzero int in range is in a window.  The last test reaches
 the statements that no other test runs, with a monkeypatch where the
 theorem makes a branch unreachable.
 """
@@ -14,7 +16,8 @@ import pytest
 
 import hyperwedge.varieties as varieties
 from hyperwedge.elimination import CoordinateAssignment
-from hyperwedge.indices import DimensionMismatch, GoodParams, Window
+from hyperwedge.forms import FormSpec, hpf_eval, hpf_multilinear, plucker_relation
+from hyperwedge.indices import DimensionMismatch, GoodParams, Window, index_set, young_diagram
 from hyperwedge.multivector import Covector, Multivector, RationalMatrix
 from hyperwedge.polynomials import WedgePolynomial, poly_mul, poly_scale
 from hyperwedge.varieties import (
@@ -82,9 +85,9 @@ def test_lookups_outside_the_window_raise():
         v.coeff((1, 7))
     with pytest.raises(DimensionMismatch, match=r"indices \(-1, 1\) outside window"):
         v.coeff((-1, 1))
-    with pytest.raises(DimensionMismatch, match=r"label 9 outside window \(0,2\)"):
+    with pytest.raises(DimensionMismatch, match=r"indices \(9,\) outside window \(0,2\)"):
         f.coeff(9)
-    with pytest.raises(DimensionMismatch, match="label -1 outside window"):
+    with pytest.raises(DimensionMismatch, match=r"indices \(-1,\) outside window"):
         f.coeff(-1)
 
 
@@ -121,6 +124,46 @@ def test_one_key_rule_on_construction_and_lookup(key, error, message):
         with pytest.raises(error) as caught:
             entry(key)
         assert type(caught.value) is error and str(caught.value) == message, name
+
+
+W21 = Window(2, 1)
+POINT = Multivector.basis(W21, (1,))
+WINDOW_ENTRIES = {
+    "Multivector": lambda: Multivector(W21, 1, {(2,): 1}),
+    "basis": lambda: Multivector.basis(W21, (2,)),
+    "Multivector.coeff": lambda: POINT.coeff((2,)),
+    "Covector": lambda: Covector(W21, {2: 1}),
+    "Covector.coeff": lambda: Covector(W21, {}).coeff(2),
+    "RationalMatrix.entry": lambda: RationalMatrix.identity(W21).entry(2, 1),
+    "RationalMatrix.column": lambda: RationalMatrix.identity(W21).column(2),
+    "index_set": lambda: index_set([2], W21),
+    "young_diagram": lambda: young_diagram([2], W21),
+    "hpf_eval": lambda: hpf_eval(FormSpec(1, 1, (2,)), POINT),
+    "hpf_eval tail": lambda: hpf_eval(
+        FormSpec(1, 1, (1,), (2,)), Multivector.basis(W21, (-1, 1))
+    ),
+    "hpf_multilinear": lambda: hpf_multilinear(FormSpec(1, 1, (2,)), [POINT]),
+    "plucker_relation": lambda: plucker_relation((2,), (-2, -1, 1), W21),
+    "WedgePolynomial": lambda: WedgePolynomial(1, {((2,),): 1}, W21),
+    "CoordinateAssignment": lambda: CoordinateAssignment(W21, 1, {(2,): 1}, PAIR),
+}
+
+
+@pytest.mark.parametrize("entry", WINDOW_ENTRIES.values(), ids=WINDOW_ENTRIES)
+def test_one_window_rule_at_every_entry_point(entry):
+    with pytest.raises(DimensionMismatch) as caught:
+        entry()
+    assert type(caught.value) is DimensionMismatch
+    assert str(caught.value) == "indices (2,) outside window (2,1)"
+
+
+@pytest.mark.parametrize("label", [True, 1.0, Fraction(1), "1", 0, None], ids=repr)
+def test_only_plain_nonzero_ints_are_window_labels(label):
+    for window in (Window(0, 2), Window(2, 3), W21):
+        assert 1 in window and window.contains_set(window.elements())
+        assert label not in window
+        assert not window.contains_set([label])
+        assert not window.contains_set([1, label])
 
 
 def test_in_pf_mismatch_is_in_hpfs():

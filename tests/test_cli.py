@@ -412,9 +412,13 @@ def test_member_trials_and_seed_need_max_bound(flags, tmp_path, capsys):
 
 
 def test_member_rejects_odd_width(tmp_path, capsys):
-    src = save(tmp_path / "v.json", split_pair())
-    assert main(["member", "--form", "3", "2", src]) == 2
-    capsys.readouterr()
+    # under every --form flag set; an odd-grade element squares to zero, so
+    # --max-bound with an odd M would pass every trial vacuously
+    u, _ = trivector_u()
+    src = save(tmp_path / "u.json", u)
+    for extra in [], ["--dual", "2", "2"], ["--max-bound"]:
+        assert main(["member", "--form", "3", "2", *extra, src]) == 2, extra
+        assert capsys.readouterr() == ("", "error: m must be a positive even integer, got 3\n")
 
 
 # ------------------------------------------------- wedge, star, contract

@@ -538,7 +538,7 @@ W22, W32 = Window(2, 2), Window(3, 2)
         (
             lambda: hpf_multilinear(FormSpec(1, 2, (1, 3)), [basis(W22, 1)] * 2),
             DimensionMismatch,
-            "do not fit",
+            r"indices \(1, 3\) outside window \(2,2\)",
         ),
         (lambda: wedge_via_hpf([basis(W22)] * 2), DimensionMismatch, "positive grade"),
         (lambda: is_good([-1, -1], [1, 2], GoodParams(2, 2, 2, 2)), ValueError, "repeat"),
