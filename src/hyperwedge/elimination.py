@@ -13,16 +13,24 @@ indices, the unique value forcing the carrier form to vanish is -Q/D.
 Since I sits at the bottom of the carrier, the collected sign on x_I * D
 is +1; the splitting is verified symbolically in the test suite.
 
-Both forms are read through the per-shape row plan of the forms module,
-without building polynomials: one coordinate key and one lookup per
-distinct block, not per row.  Each block key is spliced, not sorted: the
-block's labels from the head of I, then the rest of I, then its extra
-labels, which is ascending because the extras lie above I.  A full
-recovery pass clears the denominators of the known values once, so its
-table starts as plain ints; each recovered value joins it as a Fraction,
-and every result is exact.  A carrier forces nothing, and yields None,
-when a form needs a coordinate that is not known or the denominator
-vanishes; the pass then tries the next one, and no failed carrier raises.
+Q is read by the head expansion of the forms module: its rows, grouped by
+their blocks through the head (the first m labels of I), sum to those
+blocks' product times the form on the extra labels R they leave, with the
+tail (the rest of I) in every block: a form of D's kind.  Keys are spliced,
+not sorted (head labels, tail, extra labels), as the extras lie above I.
+A known-zero factor silences its monomial even beside an unknown one, so
+an unknown head block blocks its group only if a row of the remainder has
+no known zero; a carrier whose forms need an unknown forces nothing (None).
+
+A pass reads each form on extra labels once: settled keeps its value by
+(tail, extra), zero included.  That is sound because known values are
+never overwritten: an evaluated form has no monomial with an unknown
+factor that a known zero does not silence, so no later value changes it.
+A form that needed unknown keys keeps them in blocked and fails again at
+once, still counting an attempt, while none of them is known.  The table
+starts as plain ints, the known values' denominators cleared once, and a
+quotient that divides exactly joins it as an int, so the products stay in
+int arithmetic; every result is exact.
 
 A full recovery decides each missing coordinate once, in diagram order.
 One pass is enough: every denominator key is tail + (an m-block of extra
@@ -30,15 +38,10 @@ labels) and every numerator key is I with some head labels swapped for
 extra labels, so each prerequisite is elementwise at least I, differs from
 it, and has a strictly smaller Young diagram.  When the pass reaches I,
 every prerequisite is final, either known or a target already stuck, and a
-second pass could change no outcome.
-
-Carriers are enumerated lazily, shallowest first: the combinations of the
-labels above max(I), taken in descending order and each reversed, come out
-ordered by their largest extra label, then the next largest, and so on.
-The pass keeps every denominator that evaluated to a value, zero included,
-until it returns.  Known values are never overwritten, and such a
-denominator has no monomial with an unknown factor that a known zero does
-not silence, so no later value can change it.
+second pass could change no outcome.  Carriers are enumerated lazily,
+shallowest first: the combinations of the labels above max(I), taken in
+descending order and each reversed, come out ordered by their largest
+extra label, then the next largest, and so on.
 """
 
 import bisect
@@ -48,7 +51,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .forms import _row_plan, _row_sum
+from .forms import _head_plan, _row_plan, _row_sum
 from .indices import (
     DimensionMismatch,
     Frozen,
@@ -58,13 +61,7 @@ from .indices import (
     key_table,
     plain_int,
 )
-from .multivector import (
-    FormatError,
-    Multivector,
-    format_errors,
-    read_header,
-    read_terms,
-)
+from .multivector import Multivector
 
 
 class CoordinateAssignment(Frozen):
@@ -136,35 +133,61 @@ def good_projection(v: Multivector, params: GoodParams) -> CoordinateAssignment:
     return CoordinateAssignment._trusted(window, p, known, params)
 
 
-def _form_on_known(m: int, known, head, tail, extra):
-    """The width-m form on head + extra, tail in every block, read off known.
-
-    Rows whose first block is the whole head hold x_(head + tail) and are
-    skipped.  A known-zero factor silences its monomial even beside an
-    unknown one; an unknown factor of any other monomial makes the value None.
-    """
-    positions, rows = _row_plan(len(head) + len(extra), m, len(head), len(tail))
-    label = (head + tail + extra).__getitem__
-    return _row_sum(rows, [known.get(tuple(map(label, block))) for block in positions])
+def _block_values(m: int, known, tail, extra):
+    """Rows, block keys and known values of the width-m form on extra, tail in every block."""
+    getters, rows = _row_plan(len(extra), m, len(tail))
+    labels = tail + extra
+    keys = [key(labels) for key in getters]
+    return rows, keys, [known.get(key) for key in keys]
 
 
-def _forced_value(m: int, known, target, extra, settled: dict) -> Optional[Fraction]:
-    """x_target = -Q/D on the carrier target + extra, from a partial table.
+def _form_value(m: int, known, tail, extra, settled: dict, blocked: dict):
+    """The width-m form on extra, tail in every block, or None; memoized by (tail, extra)."""
+    value = settled.get((tail, extra))
+    if value is not None:
+        return value
+    blockers = blocked.get((tail, extra))
+    if blockers and not any(key in known for key in blockers):
+        return None
+    rows, keys, values = _block_values(m, known, tail, extra)
+    value = _row_sum(rows, values)
+    if value is None:
+        blocked[tail, extra] = [key for key, have in zip(keys, values) if have is None]
+    else:
+        settled[tail, extra] = value
+    return value
 
-    None when a form needs an unknown coordinate or D vanishes.  settled
-    keeps denominators that evaluated to a value, keyed by (tail, extra); it
-    is only sound while known grows without overwrites.
+
+def _forced_value(m: int, known, target, extra, settled: dict, blocked: dict):
+    """x_target = -Q/D on the carrier target + extra, an int when D divides -Q.
+
+    None when a form needs an unknown coordinate or D vanishes; settled and
+    blocked are only sound while known grows without overwrites.
     """
     head, tail = target[:m], target[m:]
-    denominator = settled.get((tail, extra))
-    if denominator is None:
-        denominator = _form_on_known(m, known, (), tail, extra)
-        if denominator is not None:
-            settled[tail, extra] = denominator
+    denominator = _form_value(m, known, tail, extra, settled, blocked)
     if not denominator:
         return None
-    numerator = _form_on_known(m, known, head, tail, extra)
-    return None if numerator is None else Fraction(-numerator) / denominator
+    keys, groups = _head_plan(m + len(extra), m, len(tail))
+    labels = head + tail + extra
+    values = [known.get(key(labels)) for key in keys]
+    numerator = 0
+    for factors, rest, sign in groups:
+        factors = factors(values)
+        if 0 in factors:
+            continue
+        remainder = _form_value(m, known, tail, rest(extra), settled, blocked)
+        if None in factors:
+            # each monomial needs the unknown head block unless a known zero silences it
+            rows, _, seen = _block_values(m, known, tail, rest(extra))
+            if remainder != 0 or _row_sum(rows, [0 if v == 0 else None for v in seen]) is None:
+                return None
+        elif remainder is None:
+            return None
+        else:
+            numerator += math.prod(factors, start=sign * remainder)
+    quotient, residue = divmod(-numerator, denominator)
+    return Fraction(-numerator, denominator) if residue else quotient
 
 
 class ReconstructionResult(NamedTuple):
@@ -201,12 +224,9 @@ def reconstruct_all(
     are enumerated lazily by _carriers, never sorted or stored.  A carrier
     that forces no value, for a zero denominator or missing prerequisites,
     is skipped, and a target none of whose carriers succeeds is stuck.
-    budget caps the total number of single-coordinate attempts; the pass
-    stops when it is spent, and every target not yet recovered is stuck.
-
-    The forms are read through cached per-shape row plans.  A denominator
-    that evaluated to a value, zero included, is kept for the rest of the
-    call and still counts an attempt when reused.
+    budget caps the total number of single-coordinate attempts, a reused
+    or blocked denominator included; the pass stops when it is spent, and
+    every target not yet recovered is stuck.
     """
     plain_int("m", m)
     plain_int("l", l)
@@ -226,14 +246,14 @@ def reconstruct_all(
         for key, value in projected._known.items()
     }
     targets = sorted(projected.missing(), key=_diagram_order)
-    settled = {}
+    settled, blocked = {}, {}
     attempts = 0
     for tgt in targets:
         for extra in _carriers(above[tgt[-1]], room):
             if attempts == budget:
                 break
             attempts += 1
-            found = _forced_value(m, known, tgt, extra, settled)
+            found = _forced_value(m, known, tgt, extra, settled, blocked)
             if found is not None:
                 known[tgt] = found
                 break
@@ -244,37 +264,3 @@ def reconstruct_all(
         return ReconstructionResult(None, stuck, attempts)
     values = {key: Fraction(value, scale) for key, value in known.items() if value}
     return ReconstructionResult(Multivector._trusted(window, p, values), (), attempts)
-
-
-def assignment_to_obj(assignment: CoordinateAssignment) -> dict:
-    """Plain-data form: window, grade, thresholds, known terms, missing list."""
-    params = assignment.params
-    return {
-        "window": [assignment.window.n, assignment.window.p],
-        "grade": assignment.grade,
-        "good_params": {"m": params.m, "l": params.l, "r": params.r, "s": params.s},
-        "terms": [
-            {"indices": list(key), "coeff": str(value)}
-            for key, value in sorted(assignment.known.items())
-        ],
-        "missing": [list(key) for key in assignment.missing()],
-    }
-
-
-def assignment_from_obj(obj) -> CoordinateAssignment:
-    """Strict inverse of assignment_to_obj; any defect raises FormatError."""
-    window, grade = read_header(obj, "assignment")
-    params_obj = obj.get("good_params")
-    if not isinstance(params_obj, dict) or set(params_obj) != {"m", "l", "r", "s"}:
-        raise FormatError(f"bad good_params {params_obj!r}")
-    known = read_terms(obj)
-    with format_errors():
-        assignment = CoordinateAssignment(window, grade, known, GoodParams(**params_obj))
-    declared = obj.get("missing")
-    expected = math.comb(window.size, grade) - len(known)
-    if not isinstance(declared, list) or len(declared) != expected:
-        raise FormatError(f"missing list must hold the {expected} unknown coordinates")
-    actual = [list(key) for key in assignment.missing()]
-    if declared != actual:
-        raise FormatError(f"missing list {declared!r} does not match coordinates")
-    return assignment

@@ -18,9 +18,11 @@ expansion the block through the pivot moves to the front at the cost of
 shuffle_sign([block, rest]), since even-width blocks commute.  The test
 suite assembles both identities symbolically against the full forms.
 
-Every partition-row sum (hpf_eval, hpf_polynomial, and recovery in the
-elimination module) reads one cached per-shape row plan, _row_plan; only
-hpf_multilinear, which survives odd widths, reads the full partition table.
+Every partition-row sum (hpf_eval, hpf_polynomial, and the denominators
+of recovery in the elimination module) reads one cached per-shape row
+plan, _row_plan.  Recovery's numerators read _head_plan, the same rows
+grouped by their blocks through the target's head; only hpf_multilinear,
+which survives odd widths, reads the full partition table.
 """
 from __future__ import annotations
 
@@ -90,46 +92,77 @@ def _partition_table(count: int, m: int):
     return tuple(enumerate_partitions(range(1, count + 1), m))
 
 
+def _getter(indices: Sequence[int]):
+    """itemgetter that returns a sequence, also for one index or none."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+def _splice(block, split: int, gap: int):
+    """Getter of a block's key from head + tail + extra: head labels, the tail, extra labels."""
+    return _getter(
+        [q - 1 for q in block if q <= split]
+        + list(range(split, split + gap))
+        + [q - 1 + gap for q in block if q > split]
+    )
+
+
 @cache
-def _row_plan(count: int, m: int, split: int, gap: int):
+def _row_plan(count: int, m: int, gap: int):
     """The form's signed rows on member positions 1..count, read through blocks.
 
-    The members are head + extra with |head| = split, and a tail of length
-    gap joins every block.  Returns, per distinct block, the positions of
-    its labels in head + tail + extra, and the rows as (factor getter,
-    bitmask of the row's block ids, sign), minus the rows whose first block
-    is the whole head.  So an evaluation builds one key and does one lookup
-    per block, not per row.  A getter returns the row's factors as a
-    sequence; a one-block row reads a one-entry slice, since itemgetter of
-    a single index would return the bare entry.  At odd width and degree
-    two or more the symmetrized sum collapses to zero, so the plan has no
-    rows.  Only shapes are cached, so
-    memory does not grow with the member sets and tails evaluated.
+    A tail of length gap joins every block.  Returns, per distinct block,
+    the getter of its key from tail + members, and the rows as (factor
+    getter, bitmask of the row's block ids, sign).  So an evaluation builds
+    one key and does one lookup per block, not per row.  No members make
+    one empty row, worth 1.  At odd width and degree two or more the
+    symmetrized sum collapses to zero, so the plan has no rows.  Only shapes
+    are cached, so memory does not grow with the member sets and tails
+    evaluated.
     """
     if m % 2 and count >= 2 * m:
         return (), ()
-    head = tuple(range(1, split + 1))
     ids = {}
     rows = []
     for blocks, sign in _partition_table(count, m):
-        if blocks[0] != head:
-            rows.append((tuple(ids.setdefault(b, len(ids)) for b in blocks), sign))
-    rows = tuple(
+        row = [ids.setdefault(b, len(ids)) for b in blocks]
+        rows.append((_getter(row), sum(1 << b for b in row), sign))
+    return tuple(_splice(block, 0, gap) for block in ids), tuple(rows)
+
+
+@cache
+def _head_plan(count: int, m: int, gap: int):
+    """The form on head + extra, |head| = m, as groups of rows through the head.
+
+    Each row is its blocks that meet the head times a row of the same form
+    on the extra labels R those blocks leave, so the rows that share their
+    head blocks sum to sign * (product of those blocks) * form(R): a
+    Laplace-type expansion along the head (Knuth, "Overlapping Pfaffians").
+    Even-width blocks commute, so sign is the shuffle sign of the head
+    blocks followed by R.  Returns the distinct head blocks as key getters
+    from head + tail + extra, and per group (getter of its head-block
+    values, getter of R from extra, sign).  The rows whose one head block
+    is the whole head hold x_(head + tail) and are left out; at odd width
+    there are no groups, as _row_plan has no rows.
+    """
+    if m % 2 and count >= 2 * m:
+        return (), ()
+    groups = {}
+    for blocks, _ in _partition_table(count, m):
+        touching = tuple(b for b in blocks if b[0] <= m)
+        if len(touching) > 1:
+            groups[touching] = tuple(sorted(q for b in blocks if b[0] > m for q in b))
+    ids = {}
+    plan = tuple(
         (
-            itemgetter(*row) if len(row) > 1 else itemgetter(slice(row[0], row[0] + 1)),
-            sum(1 << b for b in row),
-            sign,
+            itemgetter(*(ids.setdefault(b, len(ids)) for b in touching)),
+            _getter([q - m - 1 for q in rest]),
+            shuffle_sign(touching + (rest,)),
         )
-        for row, sign in rows
+        for touching, rest in groups.items()
     )
-    tail = tuple(range(split, split + gap))
-    positions = tuple(
-        tuple(q - 1 for q in block if q <= split)
-        + tail
-        + tuple(q - 1 + gap for q in block if q > split)
-        for block in ids
-    )
-    return positions, rows
+    return tuple(_splice(block, m, gap) for block in ids), plan
 
 
 def _row_sum(rows, values: Sequence):
@@ -148,9 +181,9 @@ def _row_sum(rows, values: Sequence):
 
 def _spec_plan(spec: FormSpec):
     """The form's row plan with each block's key, sorted: a tail may sit among the members."""
-    positions, rows = _row_plan(len(spec.indices), spec.m, 0, len(spec.tail))
-    label = (spec.tail + spec.indices).__getitem__
-    return [tuple(sorted(map(label, block))) for block in positions], rows
+    keys, rows = _row_plan(len(spec.indices), spec.m, len(spec.tail))
+    labels = spec.tail + spec.indices
+    return [tuple(sorted(key(labels))) for key in keys], rows
 
 
 def hpf_polynomial(spec: FormSpec) -> WedgePolynomial:
@@ -251,10 +284,12 @@ def plucker_relation(body: Iterable[int], extension: Iterable[int], window: Wind
         rest = tuple(x for x in large if x != mover)
         sign = sort_sign * (-1 if position % 2 else 1)
         pairs.append(((enlarged, rest), Fraction(sign)))
-    label = (
-        "plucker@" + ",".join(map(str, small)) + "|" + ",".join(map(str, large))
-    )
-    return WedgePolynomial(grade, pairs, window, label)
+    return WedgePolynomial(grade, pairs, window, _plucker_label(small, large))
+
+
+def _plucker_label(small: IndexSet, large: IndexSet) -> str:
+    """The label of plucker_relation(small, large, ...), for ascending labels."""
+    return "plucker@" + ",".join(map(str, small)) + "|" + ",".join(map(str, large))
 
 
 def filtration_expansion(

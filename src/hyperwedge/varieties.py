@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import NamedTuple, Optional
 
-from .forms import FormSpec, plucker_relation, trivial_region
+from .forms import FormSpec, _plucker_label, trivial_region
 from .indices import DimensionMismatch, Window, checked_record, even_width, plain_int
 from .multivector import (
     Covector,
@@ -124,10 +124,9 @@ def in_grassmannian(v: Multivector) -> MembershipReport:
     violation = _plucker_violation(v)
     if violation is not None:
         small, large, value = violation
-        label = plucker_relation(small, large, v.window).label
         return MembershipReport(
             False,
-            {"kind": "violated_form", "label": label, "value": str(value)},
+            {"kind": "violated_form", "label": _plucker_label(small, large), "value": str(value)},
         )
     g, n = v.grade, v.window.size
     count = math.comb(n, g - 1) * math.comb(n, g + 1) if g else 0

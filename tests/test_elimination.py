@@ -1,5 +1,4 @@
 """Good-coordinate projection and rational recovery of the dropped ones."""
-import json
 import math
 import random
 from collections import namedtuple
@@ -10,13 +9,7 @@ import hyperwedge.elimination as elimination
 
 import pytest
 
-from hyperwedge.elimination import (
-    CoordinateAssignment,
-    assignment_from_obj,
-    assignment_to_obj,
-    good_projection,
-    reconstruct_all,
-)
+from hyperwedge.elimination import CoordinateAssignment, good_projection, reconstruct_all
 from hyperwedge.forms import FormSpec, _partition_table, hpf_polynomial
 from hyperwedge.indices import (
     DimensionMismatch,
@@ -26,7 +19,7 @@ from hyperwedge.indices import (
     young_diagram,
 )
 from hyperwedge.varieties import in_pf
-from hyperwedge.multivector import FormatError, Multivector, wedge
+from hyperwedge.multivector import Multivector, wedge
 from hyperwedge.polynomials import (
     WedgePolynomial,
     poly_add,
@@ -140,7 +133,9 @@ def forced(m, l, assignment, target, carrier, settled=None):
     """
     assert len(carrier) == len(target) + m * l
     settled = {} if settled is None else settled
-    return elimination._forced_value(m, assignment.known, target, carrier[len(target):], settled)
+    return elimination._forced_value(
+        m, assignment.known, target, carrier[len(target):], settled, {}
+    )
 
 
 def test_reconstruct_matches_true_coefficient_across_carriers():
@@ -311,7 +306,9 @@ def test_carrier_values_match_the_polynomial_route(seed, window, m, l, pairs, pq
                     fast = forced(m, l, assignment, target, carrier)
                     kind, slow = outcome(slow_reconstruct, m, l, known, target, carrier)
                     assert fast == (slow if kind == "value" else None), (target, carrier)
-                    assert fast is None or type(fast) is Fraction
+                    # an integral quotient comes back as an int, any other as a Fraction
+                    if fast is not None:
+                        assert type(fast) is (int if slow.denominator == 1 else Fraction)
                     kinds.add(kind)
     assert "value" in kinds
 
@@ -508,6 +505,94 @@ def oracle_forced_value(m, l, known, target, extra):
     return Fraction(-numerator) / denominator
 
 
+# m = 4 stops at l = 2: its l = 3 numerator has 2,627,625 rows, too many for
+# the row oracle in a quick test
+KERNEL_SHAPES = [(2, l, gap) for l in (1, 2, 3) for gap in (0, 1, 2)]
+KERNEL_SHAPES += [(4, l, gap) for l in (1, 2) for gap in (0, 1, 2)]
+
+
+def test_grouped_numerator_matches_the_row_oracle():
+    # partial tables mixing known zeros and unknowns, denser among the keys
+    # through the head than among the others so that denominators often
+    # evaluate; the carriers of one table share the pass memos
+    rng = random.Random(131)
+    seen = set()
+    for m, l, gap in KERNEL_SHAPES:
+        p = m + gap
+        target = tuple(range(1, p + 1))
+        labels = tuple(range(1, p + m * l + 3))
+        carriers = list(combinations(labels[p:], m * l))
+        for _ in range(12 if m == 2 else 4):
+            rates = [rng.uniform(0, 0.15), rng.uniform(0, 0.4)]
+            head_rates = [rng.uniform(0, 0.5), rng.uniform(0, 0.5)]
+            known = {}
+            for key in combinations(labels, p):
+                lost, zero = head_rates if key[0] <= m else rates
+                draw = rng.random()
+                if draw >= lost:
+                    known[key] = 0 if draw < lost + zero else Fraction(
+                        rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2))
+                    )
+            settled, blocked = {}, {}
+            for extra in rng.sample(carriers, 3):
+                fast = elimination._forced_value(m, known, target, extra, settled, blocked)
+                kind, slow = outcome(oracle_forced_value, m, l, known, target, extra)
+                assert fast == (slow if kind == "value" else None), (m, l, gap, extra)
+                if kind is MissingCoordinates:
+                    denominator = outcome(oracle_form_on_known, m, l, known, (), target[m:], extra)
+                    kind = "numerator" if denominator[0] == "value" else "denominator"
+                elif kind == "value":
+                    # a key through part of the head is one of the grouped factors
+                    members = target + extra
+                    partial = [
+                        key for key in combinations(members, p)
+                        if set(target[m:]) <= set(key) and 0 < len(set(key) & set(target[:m])) < m
+                    ]
+                    kind = "silenced" if any(key not in known for key in partial) else "known"
+                seen.add(kind)
+    assert seen == {ZeroDenominator, "numerator", "denominator", "silenced", "known"}
+
+
+def test_unknown_head_block_is_silenced_only_by_known_zeros():
+    # carrier (1, 2) + (3..8), l = 3: x_(1,3) is unknown and x_(2,b) vanishes
+    # for every b but 4, so only the group (1,3)(2,4) needs x_(1,3); its
+    # remainder, the degree-2 form on (5, 6, 7, 8), is zero either way
+    rng = random.Random(132)
+    target, extra = (1, 2), (3, 4, 5, 6, 7, 8)
+    values = (-3, -2, -1, 1, 2, 3)
+    known = {key: Fraction(rng.choice(values)) for key in combinations(range(1, 9), 2)}
+    del known[(1, 3)]
+    for b in (5, 6, 7, 8):
+        known[(2, b)] = Fraction(0)
+    # x56 x78 - x57 x68 + x58 x67 cancels, and no known zero silences it
+    known.update({(5, 6): 1, (7, 8): 1, (5, 7): 1, (6, 8): 2, (5, 8): 1, (6, 7): 1})
+    assert oracle_form_on_known(2, 2, known, (), (), (5, 6, 7, 8)) == 0
+    assert outcome(oracle_forced_value, 2, 3, known, target, extra) == (MissingCoordinates, None)
+    assert elimination._forced_value(2, known, target, extra, {}, {}) is None
+    # a known zero in every monomial silences it
+    known.update({(5, 6): 0, (5, 7): 0, (5, 8): 0})
+    kind, slow = outcome(oracle_forced_value, 2, 3, known, target, extra)
+    assert kind == "value"
+    assert elimination._forced_value(2, known, target, extra, {}, {}) == slow
+
+
+def test_blocked_form_is_read_again_once_a_missing_key_is_known():
+    # the memos outlive a table that grows, as in a pass; a form blocked by
+    # x_(3,4) is evaluated again once that key is known
+    rng = random.Random(133)
+    target, extra = (1, 2), (3, 4, 5, 6)
+    full = {key: Fraction(rng.randint(1, 9)) for key in combinations(range(1, 7), 2)}
+    known = {key: value for key, value in full.items() if key != (3, 4)}
+    settled, blocked = {}, {}
+    assert elimination._forced_value(2, known, target, extra, settled, blocked) is None
+    assert blocked == {((), extra): [(3, 4)]} and settled == {}
+    assert elimination._forced_value(2, known, target, extra, settled, blocked) is None
+    known[(3, 4)] = full[(3, 4)]
+    kind, slow = outcome(oracle_forced_value, 2, 2, known, target, extra)
+    assert kind == "value"
+    assert elimination._forced_value(2, known, target, extra, settled, blocked) == slow
+
+
 def shallow_first(extra):
     return tuple(sorted(-x for x in extra))
 
@@ -608,14 +693,29 @@ def assert_pass_matches_the_oracle(m, l, projected):
         (102, Window(8, 2), 2, 2, True),
         (103, Window(7, 2), 3, 3, False),
         (104, Window(8, 2), 3, 3, True),
+        (108, Window(6, 3), 2, 2, False),
+        (109, Window(7, 3), 2, 2, True),
+        (110, Window(7, 3), 3, 3, True),
     ],
 )
 def test_pass_matches_the_oracle_on_plane_sums(seed, window, l, pairs, pq):
+    # with a tail (p = 3) the points are sums of decomposable 3-vectors; their
+    # projections stall, as the w63 class of the benchmark does, and the full
+    # tables without the keys below 2 - 2l complete
     rng = random.Random(seed)
     for _ in range(4):
-        v = two_form_point(rng, window, pairs, pq)
-        projected = checked_projection(v, GoodParams(2, l, 2, 2))
-        assert assert_pass_matches_the_oracle(2, l, projected).completed == v
+        if window.p == 2:
+            v = two_form_point(rng, window, pairs, pq)
+            projected = checked_projection(v, GoodParams(2, l, 2, 2))
+            assert assert_pass_matches_the_oracle(2, l, projected).completed == v
+            continue
+        v = three_form_point(rng, window, pairs, pq)
+        run = assert_pass_matches_the_oracle(2, l, checked_projection(v, PAIR))
+        assert run.completed is None and run.stuck
+        full = full_assignment(v, PAIR).known
+        shallow = {key: value for key, value in full.items() if key[-1] > 2 - 2 * l}
+        assignment = CoordinateAssignment(window, 3, shallow, PAIR)
+        assert assert_pass_matches_the_oracle(2, l, assignment).completed == v
 
 
 def test_pass_matches_the_oracle_on_the_deficient_class():
@@ -767,74 +867,6 @@ def test_assignment_rejects_two_keys_for_one_coordinate():
         CoordinateAssignment(w, 2, {(1, 2): Fraction(1), (2, 1): Fraction(5)}, PAIR)
     with pytest.raises(ValueError, match=r"term \(1, 2\) is given twice"):
         CoordinateAssignment(w, 2, [((1, 2), Fraction(1)), ((1, 2), Fraction(5))], PAIR)
-
-
-def test_assignment_serialization_round_trip():
-    w = Window(4, 2)
-    v = Multivector.basis(w, (-2, -1), Fraction(3, 7)) + Multivector.basis(w, (1, 2), 2)
-    projected = good_projection(v, PAIR)
-    obj = assignment_to_obj(projected)
-    assert obj["good_params"] == {"m": 2, "l": 2, "r": 2, "s": 2}
-    assert [-4, -3] in obj["missing"]
-    assert any(entry["coeff"] == "0" for entry in obj["terms"])
-    text = json.dumps(obj)
-    back = assignment_from_obj(json.loads(text))
-    assert back.window == projected.window
-    assert back.known == projected.known
-    assert back.params == projected.params
-    assert json.dumps(assignment_to_obj(back)) == text
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda obj: obj.pop("good_params"),
-        lambda obj: obj["good_params"].update(m=0),
-        lambda obj: obj.update(window=[4]),
-        lambda obj: obj.update(grade=3),
-        lambda obj: obj["terms"][0].update(coeff="1.5"),
-        lambda obj: obj["terms"].append(dict(obj["terms"][0])),
-        lambda obj: obj.update(missing=[]),
-        lambda obj: obj["terms"][0].update(indices=[3, -4]),
-        lambda obj: obj.update(terms=obj["terms"][1::-1] + obj["terms"][2:]),
-    ],
-)
-def test_assignment_rejects_malformed_documents(mutate):
-    w = Window(4, 2)
-    v = Multivector.basis(w, (-2, -1), 3)
-    obj = assignment_to_obj(good_projection(v, PAIR))
-    mutate(obj)
-    with pytest.raises(FormatError):
-        assignment_from_obj(obj)
-
-
-def test_assignment_missing_list_is_counted_before_it_is_enumerated(monkeypatch):
-    # window (15, 15) has C(30, 15) = 155,117,520 coordinates; the document
-    # must be refused from its length alone, never by listing them
-    def enumerate_all(self):
-        raise AssertionError("missing() was called")
-
-    monkeypatch.setattr(CoordinateAssignment, "missing", enumerate_all)
-    doc = {
-        "window": [15, 15],
-        "grade": 15,
-        "good_params": {"m": 2, "l": 2, "r": 2, "s": 2},
-        "terms": [],
-        "missing": [],
-    }
-    assert len(json.dumps(doc)) < 120
-    for declared in ([], [[1] * 15], None, "all", {"count": math.comb(30, 15)}):
-        doc["missing"] = declared
-        with pytest.raises(FormatError):
-            assignment_from_obj(doc)
-
-
-def test_assignment_missing_list_of_right_length_is_still_compared():
-    w = Window(4, 2)
-    obj = assignment_to_obj(good_projection(Multivector.basis(w, (-2, -1), 3), PAIR))
-    obj["missing"] = [[-2, -1]]
-    with pytest.raises(FormatError):
-        assignment_from_obj(obj)
 
 
 def test_assignment_repr_counts_missing_coordinates(monkeypatch):

@@ -15,9 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from hyperwedge.cli import _parse_covector, _parse_labels
-from hyperwedge.elimination import assignment_from_obj, assignment_to_obj, good_projection
 from hyperwedge.forms import FormSpec, hpf_polynomial, plucker_relation
-from hyperwedge.indices import GoodParams, Window
+from hyperwedge.indices import Window
 from hyperwedge.multivector import (
     FormatError,
     multivector_from_obj,
@@ -73,17 +72,10 @@ def documents(valid):
     return anything | _corrupted(valid)
 
 
-# Windows stay small: a well-formed assignment in window (n, p) lists all
-# C(n + p, p) coordinates, which is a work bound rather than a parse defect.
 def _multivector(seed):
     rng = random.Random(seed)
     w = Window(rng.randint(0, 3), rng.randint(1, 3))
     return random_multivector(rng, w, rng.randint(0, w.size))
-
-
-def _assignment(seed):
-    v = random_multivector(random.Random(seed), Window(seed % 4, 2), 2)
-    return good_projection(v, GoodParams(2, 1, 2, 1))
 
 
 seeds = st.integers(0, 999)
@@ -93,7 +85,6 @@ poly_docs = documents(st.sampled_from([
     poly_to_obj(hpf_polynomial(FormSpec(2, 1, (-1, 1), (2,))).with_window(Window(1, 2))),
     poly_to_obj(plucker_relation((1,), (2, 3, 4), Window(0, 4))),
 ]))
-assignment_docs = documents(seeds.map(lambda s: assignment_to_obj(_assignment(s))))
 argv_text = (
     st.text(max_size=12) | st.lists(literals | st.text(max_size=3), max_size=4).map(",".join)
 )
@@ -119,12 +110,6 @@ def test_multivector_parser_returns_or_rejects(obj):
 @given(poly_docs)
 def test_polynomial_parser_returns_or_rejects(obj):
     returns_or_rejects(poly_from_obj, obj, FormatError)
-
-
-@FUZZ
-@given(assignment_docs)
-def test_assignment_parser_returns_or_rejects(obj):
-    returns_or_rejects(assignment_from_obj, obj, FormatError)
 
 
 @FUZZ

@@ -10,6 +10,7 @@ from hyperwedge.indices import DimensionMismatch, Window
 from hyperwedge.multivector import (
     Covector,
     Multivector,
+    _plucker_violation,
     contract,
     gl_apply,
     hodge_star,
@@ -210,6 +211,27 @@ def test_grassmannian_matches_the_relation_scan():
         seen["grade 0"] += g == 0
         seen["grade N"] += g == size
     assert seen["non-member"] >= 100 and min(seen.values()) >= 20, seen
+
+
+def test_grassmannian_refutation_names_the_relation_label():
+    # the label is formatted from the violated (S, T) without building the
+    # relation; it must still be the label plucker_relation gives that pair
+    rng = random.Random(92)
+    refuted = 0
+    for _ in range(60):
+        n = rng.randint(0, 2)
+        window = Window(n, rng.randint(4 - n, 5 - n))
+        g = rng.randint(2, window.size - 2)
+        v = _pq_product(rng, window, g) + _pq_product(rng, window, g)
+        violation = _plucker_violation(v)
+        report = in_grassmannian(v)
+        assert report.member == (violation is None)
+        if violation is not None:
+            small, large, _ = violation
+            label = plucker_relation(small, large, window).label
+            assert report.certificate["label"] == label
+            refuted += 1
+    assert refuted >= 20
 
 
 # ----------------------------------------------------------------- in_hpf
