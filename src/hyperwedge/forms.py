@@ -18,11 +18,13 @@ expansion the block through the pivot moves to the front at the cost of
 shuffle_sign([block, rest]), since even-width blocks commute.  The test
 suite assembles both identities symbolically against the full forms.
 
-Every partition-row sum (hpf_eval, hpf_polynomial, and the denominators
-of recovery in the elimination module) reads one cached per-shape row
-plan, _row_plan.  Recovery's numerators read _head_plan, the same rows
-grouped by their blocks through the target's head; only hpf_multilinear,
-which survives odd widths, reads the full partition table.
+Every partition-row sum reads one cached per-shape row plan, _row_plan:
+hpf_eval, hpf_polynomial, and each form on extra labels in recovery (a
+denominator or a remainder), whose block keys the elimination module
+compiles to key ids once per window shape.  Recovery's numerators read
+_head_plan, the same rows grouped by their blocks through the target's
+head, each group its head blocks' product times a remainder form; only
+hpf_multilinear, which survives odd widths, reads the full partition table.
 """
 from __future__ import annotations
 

@@ -179,10 +179,6 @@ class Window(checked_record("Window", "n p")):
     def contains_set(self, indices: Iterable[int]) -> bool:
         return all(i in self for i in indices)
 
-    def leq(self, other: "Window") -> bool:
-        """Componentwise comparison: self fits inside other."""
-        return self.n <= other.n and self.p <= other.p
-
     def __str__(self) -> str:
         return f"({self.n},{self.p})"
 

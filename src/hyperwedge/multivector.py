@@ -256,20 +256,6 @@ class RationalMatrix(Frozen):
             if row[j]
         }
 
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if other.window != self.window:
-            raise DimensionMismatch("matrix windows differ")
-        size = self.window.size
-        rows = [
-            [
-                sum((self._rows[i][k] * other._rows[k][j] for k in range(size)),
-                    Fraction(0))
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-        return RationalMatrix(self.window, rows)
-
     def det(self) -> Fraction:
         return _rank_det(self._rows)[1]
 

@@ -92,9 +92,6 @@ class WedgePolynomial(Frozen):
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree(self) -> int:
-        return max((len(mono) for mono in self._terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms by total degree, then lexicographically on the monomial."""
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))

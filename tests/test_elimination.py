@@ -1,7 +1,10 @@
 """Good-coordinate projection and rational recovery of the dropped ones."""
 import math
 import random
+import sys
+from array import array
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
@@ -126,16 +129,26 @@ def test_carrier_polynomial_splits_with_a_tail():
 
 # ------------------------------------------------------- single coordinate
 
-def forced(m, l, assignment, target, carrier, settled=None):
+def compiled_carrier(m, l, window, known, target, extra):
+    """The shape's plan, the known values as its table, and the carrier target + extra compiled.
+
+    A compiled carrier is its denominator's form id, then the key ids of
+    its head blocks.
+    """
+    plan = elimination._plan(window, m, l)
+    table = [known.get(key) for key in plan.keys]
+    return plan, table, plan.compile(target, extra)
+
+
+def forced(m, l, assignment, target, carrier):
     """x_target forced by the carrier target + extra, as the recovery pass reads it.
 
-    l is implied by the carrier's size; None means the carrier forces nothing.
+    None means the carrier forces nothing.
     """
     assert len(carrier) == len(target) + m * l
-    settled = {} if settled is None else settled
-    return elimination._forced_value(
-        m, assignment.known, target, carrier[len(target):], settled, {}
-    )
+    extra = carrier[len(target):]
+    plan, table, compiled = compiled_carrier(m, l, assignment.window, assignment.known, target, extra)
+    return elimination._forced(plan, table, compiled, 0, {}, {})
 
 
 def test_reconstruct_matches_true_coefficient_across_carriers():
@@ -160,19 +173,24 @@ def test_reconstruct_signals_zero_denominator_on_decomposables():
     rng = random.Random(62)
     w = Window(4, 2)
     v = rank_sample(rng, w, 1)
-    assignment = full_assignment(v, PAIR)
+    extra = (-2, -1, 1, 2)
+    plan, table, carrier = compiled_carrier(2, 2, w, full_assignment(v, PAIR).known, (-4, -3), extra)
+    # the denominator's form id names the form on the extra labels
+    denominator = carrier[0]
+    assert sorted(plan.keys[k] for k in plan.forms[denominator]) == list(combinations(extra, 2))
     settled = {}
-    assert forced(2, 2, assignment, (-4, -3), tuple(w.elements()), settled) is None
+    assert elimination._forced(plan, table, carrier, 0, settled, {}) is None
     # a zero denominator is kept, which tells it apart from missing coordinates
-    assert settled == {((), (-2, -1, 1, 2)): 0}
+    assert settled == {denominator: 0}
 
 
 def test_reconstruct_reports_missing_prerequisites():
     w = Window(4, 2)
-    empty = CoordinateAssignment(w, 2, {}, PAIR)
-    settled = {}
-    assert forced(2, 2, empty, (-4, -3), tuple(w.elements()), settled) is None
+    plan, table, carrier = compiled_carrier(2, 2, w, {}, (-4, -3), (-2, -1, 1, 2))
+    settled, blocked = {}, {}
+    assert elimination._forced(plan, table, carrier, 0, settled, blocked) is None
     assert settled == {}
+    assert list(blocked) == [carrier[0]]
 
 
 def test_known_zero_factors_silence_their_monomials():
@@ -505,6 +523,38 @@ def oracle_forced_value(m, l, known, target, extra):
     return Fraction(-numerator) / denominator
 
 
+class PositiveTable:
+    """A partial table over the labels 1..length, as a plan of the shape (m, l) reads it.
+
+    The labels are renamed in order into the window (length - p, p), whose
+    size-p keys the plan numbers; a renaming that keeps the order keeps
+    every sign.  The memos outlive carriers, as in a pass.
+    """
+
+    def __init__(self, m, l, p, length, known):
+        window = Window(length - p, p)
+        self.name = dict(zip(range(1, length + 1), window.elements()))
+        self.plan = elimination._plan(window, m, l)
+        self.table = [None] * len(self.plan.keys)
+        for key, value in known.items():
+            self.learn(key, value)
+        self.settled, self.blocked = {}, {}
+
+    def key_id(self, key):
+        return self.plan.ids[tuple(self.name[x] for x in key)]
+
+    def learn(self, key, value):
+        self.table[self.key_id(key)] = value
+
+    def compile(self, target, extra):
+        rename = lambda labels: tuple(self.name[x] for x in labels)
+        return self.plan.compile(rename(target), rename(extra))
+
+    def forced(self, target, extra):
+        carrier = self.compile(target, extra)
+        return elimination._forced(self.plan, self.table, carrier, 0, self.settled, self.blocked)
+
+
 # m = 4 stops at l = 2: its l = 3 numerator has 2,627,625 rows, too many for
 # the row oracle in a quick test
 KERNEL_SHAPES = [(2, l, gap) for l in (1, 2, 3) for gap in (0, 1, 2)]
@@ -533,9 +583,9 @@ def test_grouped_numerator_matches_the_row_oracle():
                     known[key] = 0 if draw < lost + zero else Fraction(
                         rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2))
                     )
-            settled, blocked = {}, {}
+            compiled = PositiveTable(m, l, p, len(labels), known)
             for extra in rng.sample(carriers, 3):
-                fast = elimination._forced_value(m, known, target, extra, settled, blocked)
+                fast = compiled.forced(target, extra)
                 kind, slow = outcome(oracle_forced_value, m, l, known, target, extra)
                 assert fast == (slow if kind == "value" else None), (m, l, gap, extra)
                 if kind is MissingCoordinates:
@@ -568,29 +618,38 @@ def test_unknown_head_block_is_silenced_only_by_known_zeros():
     known.update({(5, 6): 1, (7, 8): 1, (5, 7): 1, (6, 8): 2, (5, 8): 1, (6, 7): 1})
     assert oracle_form_on_known(2, 2, known, (), (), (5, 6, 7, 8)) == 0
     assert outcome(oracle_forced_value, 2, 3, known, target, extra) == (MissingCoordinates, None)
-    assert elimination._forced_value(2, known, target, extra, {}, {}) is None
+    assert PositiveTable(2, 3, 2, 8, known).forced(target, extra) is None
     # a known zero in every monomial silences it
     known.update({(5, 6): 0, (5, 7): 0, (5, 8): 0})
     kind, slow = outcome(oracle_forced_value, 2, 3, known, target, extra)
     assert kind == "value"
-    assert elimination._forced_value(2, known, target, extra, {}, {}) == slow
+    assert PositiveTable(2, 3, 2, 8, known).forced(target, extra) == slow
 
 
-def test_blocked_form_is_read_again_once_a_missing_key_is_known():
+def test_blocked_form_is_read_again_once_a_missing_key_is_known(monkeypatch):
     # the memos outlive a table that grows, as in a pass; a form blocked by
     # x_(3,4) is evaluated again once that key is known
     rng = random.Random(133)
     target, extra = (1, 2), (3, 4, 5, 6)
     full = {key: Fraction(rng.randint(1, 9)) for key in combinations(range(1, 7), 2)}
     known = {key: value for key, value in full.items() if key != (3, 4)}
-    settled, blocked = {}, {}
-    assert elimination._forced_value(2, known, target, extra, settled, blocked) is None
-    assert blocked == {((), extra): [(3, 4)]} and settled == {}
-    assert elimination._forced_value(2, known, target, extra, settled, blocked) is None
+    compiled = PositiveTable(2, 2, 2, 6, known)
+    denominator = compiled.compile(target, extra)[0]
+    assert compiled.forced(target, extra) is None
+    assert compiled.blocked == {denominator: [compiled.key_id((3, 4))]}
+    assert compiled.settled == {}
+    # while no blocker is known, the blocked form is not read again
+    reads = []
+    row_sum = elimination._row_sum
+    monkeypatch.setattr(elimination, "_row_sum", lambda *args: reads.append(1) or row_sum(*args))
+    assert compiled.forced(target, extra) is None
+    assert reads == []
+    compiled.learn((3, 4), full[(3, 4)])
     known[(3, 4)] = full[(3, 4)]
     kind, slow = outcome(oracle_forced_value, 2, 2, known, target, extra)
     assert kind == "value"
-    assert elimination._forced_value(2, known, target, extra, settled, blocked) == slow
+    assert compiled.forced(target, extra) == slow
+    assert denominator in compiled.settled and reads
 
 
 def shallow_first(extra):
@@ -769,6 +828,207 @@ def test_pass_matches_the_oracle_on_random_partial_tables(l):
             assignment = CoordinateAssignment(window, window.p, known, params)
             repeated += assert_pass_matches_the_oracle(2, l, assignment).passes > 1
     assert repeated
+
+
+# ------------------------------------------------------------- plan reuse
+# Every pass over a shape (window, m, l) shares one compiled plan, which
+# holds no value; a pass decides as the oracle whatever earlier passes
+# compiled, so each case runs its calls on cold and warm plans, in both
+# orders.
+
+def cold_plans():
+    elimination._plan.cache_clear()
+    elimination._frame.cache_clear()
+
+
+def assert_reuse_matches_the_oracle(m, l, calls):
+    expected = []
+    for assignment, budget in calls:
+        run = oracle_reconstruct_all(m, l, assignment, budget)
+        expected.append((run.completed, run.stuck, run.first_pass_attempts))
+    order = list(range(len(calls)))
+    for ordered in (order, order[::-1]):
+        cold_plans()
+        for _ in range(2):
+            for i in ordered:
+                assignment, budget = calls[i]
+                result = reconstruct_all(m, l, assignment, budget)
+                assert (result.completed, result.stuck, result.attempts) == expected[i], (i, budget)
+    return expected
+
+
+def dropped(rng, v, params, share):
+    """The full table of v without a random share of its keys: no good projection."""
+    known = dict(full_assignment(v, params).known)
+    for key in rng.sample(sorted(known), max(1, round(share * len(known)))):
+        del known[key]
+    return CoordinateAssignment(v.window, v.window.p, known, params)
+
+
+def shallow(v, params, top):
+    """The full table of v without the keys whose largest label is at most top."""
+    known = {key: c for key, c in full_assignment(v, params).known.items() if key[-1] > top}
+    return CoordinateAssignment(v.window, v.window.p, known, params)
+
+
+def sum_of_decomposables(rng, window, count, pq=False):
+    v = Multivector.zero(window, window.p)
+    for _ in range(count):
+        v = v + random_decomposable(rng, window, window.p, bound=5) * (
+            Fraction(rng.randint(1, 9), rng.randint(2, 9)) if pq else 1
+        )
+    return v
+
+
+def test_plan_reuse_after_a_budget_cut():
+    rng = random.Random(141)
+    params = GoodParams(2, 2, 2, 2)
+    first, second = (good_projection(rank_sample(rng, Window(8, 2), 2), params) for _ in range(2))
+    attempts = oracle_reconstruct_all(2, 2, first).first_pass_attempts
+    calls = [(first, attempts // 2), (first, None), (second, 1), (second, None), (first, 0)]
+    expected = assert_reuse_matches_the_oracle(2, 2, calls)
+    assert expected[1][0] is not None and expected[0][0] is None
+
+
+def test_plan_reuse_on_hand_built_tables():
+    # random partial tables, not good projections, including stalled ones
+    rng = random.Random(142)
+    params = GoodParams(2, 2, 2, 2)
+    calls = []
+    for share in (0.2, 0.4, 0.6):
+        v = sum_of_decomposables(rng, Window(7, 2), rng.randint(1, 3))
+        calls.append((dropped(rng, v, params, share), None))
+    calls.append((calls[1][0], 5))
+    expected = assert_reuse_matches_the_oracle(2, 2, calls)
+    assert any(outcome[1] for outcome in expected)
+
+
+def test_plan_reuse_on_fraction_values():
+    rng = random.Random(143)
+    params = GoodParams(2, 3, 2, 2)
+    points = [two_form_point(rng, Window(8, 2), 3, True) for _ in range(2)]
+    calls = [(good_projection(v, params), None) for v in points]
+    calls.append((calls[0][0], 3))
+    expected = assert_reuse_matches_the_oracle(2, 3, calls)
+    assert [outcome[0] for outcome in expected[:2]] == points
+
+
+def test_plan_reuse_at_width_four():
+    # width-4 carriers of decomposable 4-vectors: shallow tables complete,
+    # deeper cuts stall
+    rng = random.Random(144)
+    params = GoodParams(4, 1, 2, 2)
+    calls = []
+    for window in (Window(5, 4), Window(6, 4)):
+        v = sum_of_decomposables(rng, window, 1)
+        calls += [(shallow(v, params, -1), None), (shallow(v, params, 1), None)]
+        calls.append((dropped(rng, v, params, 0.3), None))
+    calls.append((calls[0][0], 2))
+    expected = assert_reuse_matches_the_oracle(4, 1, calls)
+    assert expected[0][0] is not None and expected[1][1]
+
+
+@pytest.mark.parametrize("window", [Window(6, 3), Window(7, 3)])
+def test_plan_reuse_with_tails(window):
+    # the stalled projections of sums of two trivectors (the w63 class of the
+    # benchmark) and their shallow full tables, which complete
+    rng = random.Random(145 + window.n)
+    calls = []
+    for pq in (False, True):
+        v = three_form_point(rng, window, 2, pq)
+        calls += [(good_projection(v, PAIR), None), (shallow(v, PAIR, -2), None)]
+    calls.append((calls[1][0], 4))
+    expected = assert_reuse_matches_the_oracle(2, 2, calls)
+    assert expected[0][0] is None and expected[0][1]
+    assert expected[1][0] is not None
+
+
+def test_plans_compile_only_the_carriers_tried(monkeypatch):
+    # a cold pass compiles exactly the carriers it tries, per target, and
+    # remainders only behind a denominator that does not vanish; a cut pass
+    # compiles a prefix of them, and a repeated pass compiles nothing
+    tried = []
+    forced_value = elimination._forced
+
+    def spy(plan, table, carriers, at, settled, blocked):
+        tried.append(carriers)
+        return forced_value(plan, table, carriers, at, settled, blocked)
+
+    monkeypatch.setattr(elimination, "_forced", spy)
+    rng = random.Random(146)
+    window = Window(8, 2)
+    for planes in (2, 1):
+        v = rank_sample(rng, window, planes)
+        cold_plans()
+        projected = good_projection(v, PAIR)
+        plan = elimination._plan(window, 2, 2)
+        attempts = oracle_reconstruct_all(2, 2, projected).first_pass_attempts
+        for budget in (attempts // 2, None, None):
+            tried.clear()
+            compiled = [len(done) // plan.width for done in plan.carriers], len(plan.forms)
+            result = reconstruct_all(2, 2, projected, budget)
+            assert len(tried) == result.attempts
+            per_target = [sum(c is done for c in tried) for done in plan.carriers]
+            assert [len(done) // plan.width for done in plan.carriers] == per_target
+        # the repeated pass
+        assert ([len(done) // plan.width for done in plan.carriers], len(plan.forms)) == compiled
+        assert sum(map(len, plan.carriers)) == attempts * plan.width
+        # one plane: every denominator vanishes, so no remainder is compiled
+        assert (max(plan.remainders_at) < 0) == (planes == 1)
+
+
+def decoded_carriers(plan):
+    """Each target's compiled carriers as key tuples: the same whatever order compiled them."""
+    keys = plan.keys
+    return [
+        [
+            (tuple(keys[k] for k in plan.forms[done[at]]),
+             tuple(keys[k] for k in done[at + 1:at + plan.width]))
+            for at in range(0, len(done), plan.width)
+        ]
+        for done in plan.carriers
+    ]
+
+
+def test_threads_share_one_plan():
+    # passes in eight threads compile one plan with a tiny switch interval;
+    # a carrier compiled twice or lost would shift the order and so change
+    # attempts, results or the compiled carriers
+    rng = random.Random(147)
+    window = Window(8, 2)
+    points = [good_projection(rank_sample(rng, window, planes), PAIR) for planes in (2, 1, 2, 1)]
+    cold_plans()
+    expected = [reconstruct_all(2, 2, point) for point in points]
+    compiled = decoded_carriers(elimination._plan(window, 2, 2))
+    cold_plans()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(reconstruct_all, 2, 2, point) for point in points * 4]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected * 4
+    assert decoded_carriers(elimination._plan(window, 2, 2)) == compiled
+
+
+def test_remainder_offsets_are_published_after_their_ids():
+    # passes read remainders_at without the lock, so no offset may point at
+    # ids that are not stored yet
+    cold_plans()
+    window = Window(8, 2)
+    plan = elimination._plan(window, 2, 2)
+
+    class Checked(array):
+        def extend(self, ids):
+            assert len(self) not in plan.remainders_at
+            super().extend(ids)
+
+    plan.remainder_forms = Checked("i")
+    v = rank_sample(random.Random(148), window, 2)
+    assert reconstruct_all(2, 2, good_projection(v, PAIR)).completed == v
+    assert plan.remainder_forms
 
 
 def test_lazy_carriers_follow_the_sorted_shallow_first_order():

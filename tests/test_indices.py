@@ -86,11 +86,6 @@ def test_window_rejects_negative_dimensions():
         Window(-1, 2)
 
 
-def test_window_partial_order():
-    assert Window(2, 2).leq(Window(4, 3))
-    assert not Window(4, 1).leq(Window(3, 2))
-
-
 def test_index_set_canonicalization():
     assert index_set([3, -1, 1]) == (-1, 1, 3)
     with pytest.raises(ValueError):

@@ -38,6 +38,14 @@ def basis(window, *indices):
     return Multivector.basis(window, indices)
 
 
+def matmul(a, b):
+    """The product of two matrices over one window, entry by entry."""
+    labels = a.window.elements()
+    return RationalMatrix.from_function(
+        a.window, lambda r, c: sum((a.entry(r, k) * b.entry(k, c) for k in labels), Fraction(0))
+    )
+
+
 # ---------------------------------------------------------------- structure
 
 def test_zero_keeps_grade_and_window():
@@ -361,7 +369,7 @@ def test_gl_functoriality():
         m = random_matrix(rng, w, 3)
         k = random_matrix(rng, w, 3)
         v = random_multivector(rng, w, 2)
-        assert gl_apply(m.matmul(k), v) == gl_apply(m, gl_apply(k, v))
+        assert gl_apply(matmul(m, k), v) == gl_apply(m, gl_apply(k, v))
 
 
 def test_gl_coefficients_are_minors():
@@ -441,7 +449,7 @@ def test_det_and_rank_against_brute_force():
                 if rng.random() < density
                 else Fraction(0),
             )
-            low_rank = random_matrix(rng, w, 2).matmul(sparse)
+            low_rank = matmul(random_matrix(rng, w, 2), sparse)
             for m in (random_matrix(rng, w, 4), sparse, low_rank):
                 assert m.det() == det_oracle(m)
                 assert m.rank() == rank_oracle(m)
@@ -521,11 +529,6 @@ W22, W32 = Window(2, 2), Window(3, 2)
         (lambda: RationalMatrix(W22, [[1] * 4] * 3), DimensionMismatch, "must be 4x4"),
         (lambda: RationalMatrix.identity(W22).entry(1, -3), DimensionMismatch, "outside window"),
         (
-            lambda: RationalMatrix.identity(W22).matmul(RationalMatrix.identity(W32)),
-            DimensionMismatch,
-            "windows differ",
-        ),
-        (
             lambda: gl_apply(RationalMatrix.identity(W32), basis(W22, 1)),
             DimensionMismatch,
             "windows differ",
@@ -545,7 +548,7 @@ W22, W32 = Window(2, 2), Window(3, 2)
     ],
     ids=[
         "add-grades", "add-windows", "basis-window", "matrix-shape", "matrix-entry",
-        "matmul-windows", "gl-apply-windows", "multilinear-windows", "multilinear-labels",
+        "gl-apply-windows", "multilinear-windows", "multilinear-labels",
         "wedge-via-hpf-grade", "is-good-repeat",
     ],
 )

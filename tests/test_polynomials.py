@@ -25,6 +25,11 @@ def var(*indices):
     return WedgePolynomial.variable(tuple(indices))
 
 
+def degree(poly):
+    """The largest number of factors in a monomial of poly, 0 for the zero polynomial."""
+    return max((len(mono) for mono in poly.terms), default=0)
+
+
 def pf_four_display():
     """The three-term quadratic x12*x34 - x13*x24 + x14*x23, built by hand."""
     return WedgePolynomial(
@@ -103,7 +108,7 @@ def test_multiplication():
     assert square.coeff([(1, 2), (1, 2)]) == 1
     assert square.coeff([(1, 2), (3, 4)]) == 2
     assert square.coeff([(3, 4), (3, 4)]) == 1
-    assert square.degree() == 2
+    assert degree(square) == 2
     assert poly_scale(var(1, 2), Fraction(2, 3)).coeff([(1, 2)]) == Fraction(2, 3)
 
 
@@ -299,10 +304,10 @@ def test_parser_names_the_previous_monomial():
 
 def test_degree_and_zero_queries():
     p = pf_four_display()
-    assert p.degree() == 2
+    assert degree(p) == 2
     assert not p.is_zero()
     assert WedgePolynomial.zero(3).is_zero()
-    assert WedgePolynomial.zero(3).degree() == 0
+    assert degree(WedgePolynomial.zero(3)) == 0
     assert p.coeff([(1, 3), (2, 4)]) == -1
     assert p.coeff([(1, 2), (1, 2)]) == 0
 
