@@ -6,6 +6,7 @@ hyper-Pfaffian forms are sparse polynomials in those coordinates, and the
 variety membership tests / coordinate reconstruction routines built on top of
 them are exact wherever the underlying criterion is.
 """
+from types import ModuleType as _ModuleType
 
 from .indices import (
     DimensionMismatch,
@@ -77,62 +78,6 @@ from .elimination import (
     reconstruct_all,
 )
 
-__all__ = [
-    "CoordinateAssignment",
-    "Covector",
-    "DimensionMismatch",
-    "FormSpec",
-    "FormatError",
-    "GoodParams",
-    "MembershipReport",
-    "Multivector",
-    "RationalMatrix",
-    "ReconstructionResult",
-    "TypeSpec",
-    "VarietySpec",
-    "WedgePolynomial",
-    "Window",
-    "check_membership",
-    "component_form_specs",
-    "contract",
-    "contraction_membership",
-    "enumerate_partitions",
-    "filtration_expansion",
-    "gl_apply",
-    "good_projection",
-    "hodge_star",
-    "hpf_eval",
-    "hpf_multilinear",
-    "hpf_polynomial",
-    "in_dual_hpf",
-    "in_grassmannian",
-    "in_hpf",
-    "in_hpf_component",
-    "in_pf",
-    "in_two_sided",
-    "index_set",
-    "is_good",
-    "monomial",
-    "multivector_from_obj",
-    "multivector_to_obj",
-    "nilpotency_degree",
-    "odd_partition_check",
-    "parse_fraction",
-    "pf_contraction_identically_zero",
-    "pf_contraction_witness",
-    "plucker_relation",
-    "poly_equal",
-    "poly_eval",
-    "poly_from_obj",
-    "poly_to_obj",
-    "rank_two_form",
-    "reconstruct_all",
-    "shuffle_sign",
-    "sort_with_sign",
-    "transition",
-    "type_witness",
-    "wedge",
-    "wedge_power",
-    "wedge_via_hpf",
-    "young_diagram",
-]
+# every name imported above is public, and no other
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

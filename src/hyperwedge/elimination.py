@@ -25,7 +25,7 @@ no known zero; a carrier whose forms need an unknown forces nothing (None).
 None of that structure depends on a value, only on the shape (window, m,
 l), so _plan compiles it once per shape and every pass over the shape
 shares it.  A key's id is its place in the window's diagram order
-(_frame), so a pass holds its table as a list by key id, None for
+(_key_order), so a pass holds its table as a list by key id, None for
 unknown, and its targets are the unknown ids in order.  Every form on
 extra labels, a denominator or a remainder, gets a form id; its data are
 the key ids of its distinct blocks, read by _row_plan's rows.  A carrier
@@ -48,11 +48,12 @@ included.  That is sound because known values are never overwritten: an
 evaluated form has no monomial with an unknown factor that a known zero
 does not silence, so no later value changes it.  A form that needed
 unknown keys keeps their ids in blocked and fails again at once, still
-counting an attempt, while none of them is known.  The table starts as
-plain ints, the known values' denominators cleared once, and a quotient
-that divides exactly joins it as an int, so the products stay in int
-arithmetic; every result is exact, and only recovered values are divided
-back into Fractions.
+counting an attempt, while none of them is known.  An assignment stores
+its values as a Multivector does, ints over one denominator, and the
+forms are homogeneous, so the pass loads those ints as they are and
+recovers each value times that denominator; a quotient that divides
+exactly stays an int, and the completed table goes back over the
+denominator, reduced.
 
 A full recovery decides each missing coordinate once, in diagram order.
 One pass is enough: every denominator key is tail + (an m-block of extra
@@ -83,10 +84,9 @@ from .indices import (
     GoodParams,
     Window,
     _diagram,
-    key_table,
     plain_int,
 )
-from .multivector import Multivector
+from .multivector import Multivector, _decode, _encode, _mask, _reduced
 
 
 class CoordinateAssignment(Frozen):
@@ -95,11 +95,13 @@ class CoordinateAssignment(Frozen):
     known maps size-p window keys, strictly ascending and never sorted, to
     exact rationals, as a mapping or pairs; every other size-p subset counts
     as missing.  params fixes the goodness thresholds the assignment was
-    produced under.  _trusted(window, grade, known, params) adopts ascending
-    size-p window keys and Fraction values unchecked.
+    produced under.  The known values are stored as a Multivector's terms
+    are, a canonical {mask: int} table over one denominator, known zeros
+    kept; _trusted(window, grade, table, den, params) adopts such a pair
+    unchecked.
     """
 
-    __slots__ = ("window", "grade", "_known", "params")
+    __slots__ = ("window", "grade", "_table", "_den", "params")
 
     def __init__(self, window: Window, grade: int, known, params: GoodParams):
         if grade != window.p:
@@ -107,24 +109,25 @@ class CoordinateAssignment(Frozen):
                 f"assignment grade must equal the window grade {window.p}, got {grade}"
             )
         params = GoodParams(*params)
-        self._fill(window, grade, key_table(window, grade, known), params)
+        self._fill(window, grade, *_encode(window, grade, known), params)
 
     @property
     def known(self):
-        return MappingProxyType(self._known)
+        """The known values, zeros included, in lexicographic key order."""
+        return MappingProxyType(_decode(self.window, self._table, self._den))
 
     def missing(self) -> tuple:
         labels = self.window.elements()
         return tuple(
             key
             for key in itertools.combinations(labels, self.grade)
-            if key not in self._known
+            if _mask(self.window, key) not in self._table
         )
 
     def __repr__(self):
-        missing = math.comb(self.window.size, self.grade) - len(self._known)
+        missing = math.comb(self.window.size, self.grade) - len(self._table)
         return (
-            f"CoordinateAssignment({self.window}, known={len(self._known)},"
+            f"CoordinateAssignment({self.window}, known={len(self._table)},"
             f" missing={missing})"
         )
 
@@ -141,21 +144,26 @@ def good_projection(v: Multivector, params: GoodParams) -> CoordinateAssignment:
     """
     params = GoodParams(*params)
     window = v.window
+    known, den = {}, 1
+    if v.grade == window.p:
+        table = v._table
+        known = {mask: table.get(mask, 0) for mask in _good_masks(window, params)}
+        known, den = _reduced(known, v._den)
+    return CoordinateAssignment._trusted(window, window.p, known, den, params)
+
+
+@lru_cache(maxsize=32)
+def _good_masks(window: Window, params: GoodParams) -> tuple:
+    """The masks of the window's good size-p keys, as good_projection judges them."""
     p = window.p
-    known = {}
-    if v.grade == p:
-        deep_negative = params.deep_negative
-        low = max(params.deep_positive, 1)
-        deep_gaps = max(p + 1 - low, 0)
-        terms = v._terms
-        zero = Fraction(0)
-        for key in itertools.combinations(window.elements(), p):
-            if p > 1 and key[1] <= deep_negative:
-                continue
-            if deep_gaps - (p - bisect.bisect_left(key, low)) > 1:
-                continue
-            known[key] = terms.get(key, zero)
-    return CoordinateAssignment._trusted(window, p, known, params)
+    low = max(params.deep_positive, 1)
+    deep_gaps = max(p + 1 - low, 0)
+    return tuple(
+        _mask(window, key)
+        for key in itertools.combinations(window.elements(), p)
+        if not (p > 1 and key[1] <= params.deep_negative)
+        and deep_gaps - (p - bisect.bisect_left(key, low)) <= 1
+    )
 
 
 def _read(plan, table, form: int, settled: dict, blocked: dict):
@@ -237,20 +245,21 @@ def _carriers(larger, room: int):
 
 
 @lru_cache(maxsize=16)
-def _frame(window: Window):
-    """The window's size-p keys in diagram order, their ids (places there), each label's bit."""
-    keys = sorted(itertools.combinations(window.elements(), window.p), key=_diagram_order)
-    bits = {x: 1 << k for k, x in enumerate(window.elements())}
-    return tuple(keys), {key: i for i, key in enumerate(keys)}, bits
+def _key_order(window: Window):
+    """The window's size-p keys in diagram order; the id (place there) of each key and each mask."""
+    keys = tuple(sorted(itertools.combinations(window.elements(), window.p), key=_diagram_order))
+    ids = {key: i for i, key in enumerate(keys)}
+    return keys, ids, {_mask(window, key): i for key, i in ids.items()}
 
 
 class _Plan:
     """The compiled recovery structure of one shape (window, m, l); it holds no value.
 
-    keys, ids and bits come from _frame.  A form on extra labels, tail in
-    every block, is named by the bits of tail + extra, as its tail is the
-    lowest len(tail) labels there; form_of finds its id, and forms and rows
-    hold by id its blocks' key ids and its _row_plan rows.  A denominator's
+    keys, ids and slots (the id of each key's mask) come from _key_order.
+    A form on extra labels, tail in every block, is named by the mask of
+    tail + extra, as its tail is the lowest len(tail) labels there; form_of
+    finds its id, and forms and rows hold by id its blocks' key ids and its
+    _row_plan rows.  A denominator's
     remainders, one per group of head[1], are compiled the first time it
     does not vanish: their form ids sit stride long in remainder_forms from
     remainders_at[its id] on, which is -1 before.  carriers holds, per
@@ -260,13 +269,13 @@ class _Plan:
     share a plan.
     """
 
-    __slots__ = ("m", "gap", "room", "keys", "ids", "bits", "above", "head", "width", "stride",
-                 "form_of", "forms", "rows", "remainders_at", "remainder_forms", "carriers",
-                 "lock")
+    __slots__ = ("window", "m", "gap", "room", "keys", "ids", "slots", "above", "head", "width",
+                 "stride", "form_of", "forms", "rows", "remainders_at", "remainder_forms",
+                 "carriers", "lock")
 
     def __init__(self, window: Window, m: int, l: int):
-        self.m, self.gap, self.room = m, window.p - m, m * l
-        self.keys, self.ids, self.bits = _frame(window)
+        self.window, self.m, self.gap, self.room = window, m, window.p - m, m * l
+        self.keys, self.ids, self.slots = _key_order(window)
         labels = window.elements()
         self.above = {x: labels[k + 1:] for k, x in enumerate(labels)}
         self.head = _head_plan(m + self.room, m, self.gap)
@@ -279,7 +288,7 @@ class _Plan:
     def form(self, tail, extra) -> int:
         """The id of the width-m form on extra, tail in every block; compiled on first use."""
         labels = tail + extra
-        name = sum(map(self.bits.__getitem__, labels))
+        name = _mask(self.window, labels)
         form = self.form_of.get(name)
         if form is None:
             getters, rows = _row_plan(len(extra), self.m, len(tail))
@@ -354,12 +363,10 @@ def reconstruct_all(
     if p < m:
         raise DimensionMismatch(f"window grade {p} is below the form width {m}")
     plan = _plan(window, m, l)
-    # the forms are homogeneous: recover c * x_I from the table times c
-    scale = math.lcm(*(value.denominator for value in projected._known.values()))
-    known = [(plan.ids[key], value) for key, value in projected._known.items()]
+    # the forms are homogeneous: recover den * x_I from the numerators over den
     table = [None] * len(plan.keys)
-    for k, value in known:
-        table[k] = value.numerator * (scale // value.denominator)
+    for mask, value in projected._table.items():
+        table[plan.slots[mask]] = value
     targets = [t for t, value in enumerate(table) if value is None]
     settled, blocked = {}, {}
     attempts = 0
@@ -376,11 +383,12 @@ def reconstruct_all(
                 break
         if attempts == budget:
             break
-    keys = plan.keys
-    stuck = tuple(sorted(keys[t] for t in targets if table[t] is None))
+    stuck = tuple(sorted(plan.keys[t] for t in targets if table[t] is None))
     if stuck:
         return ReconstructionResult(None, stuck, attempts)
-    # the plan's key tuples and the assignment's own values, in its order
-    values = {keys[k]: value for k, value in known if value}
-    values.update((keys[t], Fraction(table[t], scale)) for t in targets if table[t])
-    return ReconstructionResult(Multivector._trusted(window, p, values), (), attempts)
+    # a quotient that did not divide exactly is a Fraction: widen den to hold it
+    wide = math.lcm(*(value.denominator for value in table))
+    values = {mask: value.numerator * (wide // value.denominator)
+              for mask, value in zip(plan.slots, table) if value}
+    completed = Multivector._trusted(window, p, *_reduced(values, projected._den * wide))
+    return ReconstructionResult(completed, (), attempts)

@@ -48,7 +48,7 @@ from .indices import (
     shuffle_sign,
     sort_with_sign,
 )
-from .multivector import Multivector, _star_key
+from .multivector import Multivector, _coordinates, _star_sign
 from .polynomials import WedgePolynomial
 
 
@@ -204,7 +204,8 @@ def hpf_eval(spec: FormSpec, v: Multivector) -> Fraction:
     ascending_key(spec.indices, v.window)
     ascending_key(spec.tail, v.window)
     keys, rows = _spec_plan(spec)
-    return Fraction(_row_sum(rows, [v._terms.get(key, 0) for key in keys]))
+    x, den = _coordinates(v)
+    return Fraction(_row_sum(rows, [x(key) for key in keys]), den**spec.l)
 
 
 def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
@@ -234,15 +235,16 @@ def hpf_multilinear(spec: FormSpec, vs: Iterable[Multivector]) -> Fraction:
         (order, (-1) ** (spec.m * sum(a > b for a, b in itertools.combinations(order, 2))))
         for order in itertools.permutations(range(spec.l))
     ]
-    total = Fraction(0)
+    readers = [_coordinates(v) for v in vec]
+    total = 0
     for blocks, sign in _partition_table(len(spec.indices), spec.m):
         keys = [tuple(spec.indices[q - 1] for q in block) for block in blocks]
-        values = [[v._terms.get(key, 0) for key in keys] for v in vec]
+        values = [[x(key) for key in keys] for x, _ in readers]
         if not all(map(any, zip(*values))):
             continue  # some block is zero in every argument
         for order, order_sign in orders:
             total += math.prod((row[j] for row, j in zip(values, order)), start=sign * order_sign)
-    return total
+    return Fraction(total, math.prod(den for _, den in readers))
 
 
 def wedge_via_hpf(vs: Iterable[Multivector]) -> Multivector:
@@ -362,7 +364,7 @@ def pullback_dual(spec: FormSpec, window: Window) -> WedgePolynomial:
         for key in mono:
             absent = {-x for x in key}
             image = tuple(x for x in universe if x not in absent)
-            coeff = coeff * _star_key(universe, image)[0]
+            coeff = coeff * _star_sign(window, image)
             factors.append(image)
         terms.append((factors, coeff))
     label = "dual(" + spec.label[4:]

@@ -2,10 +2,10 @@
 
 A multivector of grade g in window (n, p) is a finite rational combination of
 basis wedges e_I, where I runs over ascending g-subsets of the window labels.
-Coefficients are `fractions.Fraction` throughout; input is an int or a
-Fraction.  The module also provides covectors (finite functionals used for
-contraction), dense rational matrices with exact determinant and rank, the
-four window-transition maps, the Hodge star, and the induced GL action.
+Coefficients are exact rationals; input is an int or a Fraction, and output
+is a Fraction.  The module also provides covectors (finite functionals used
+for contraction), dense rational matrices with exact determinant and rank,
+the four window-transition maps, the Hodge star, and the induced GL action.
 
 Conventions that fix every sign in the package:
 
@@ -19,15 +19,21 @@ Conventions that fix every sign in the package:
   negated complement, taken in the mirrored window (p, n), with no further
   normalization.
 
-Products run on one integer core, the bitmap representation of basis blades
-(Dorst, Fontijne and Mann, Geometric Algebra for Computer Science, ch. 19):
-label i of window.elements() is bit N-1-i, and a term table is {mask: int}
-over one common denominator D, the lcm of the coefficients' denominators.
+A coordinate table has one stored form, the bitmap representation of basis
+blades (Dorst, Fontijne and Mann, Geometric Algebra for Computer Science,
+ch. 19): label i of window.elements() is bit N-1-i, and the table is
+{mask: int} over one positive denominator.  It is canonical: the gcd of the
+denominator and every numerator is 1, and zero is {} over 1, so equal values
+have equal fields and Frozen equality, pickling and copying compare values.
 Among keys of one grade, lexicographic order of label tuples is descending
-int order of masks, so max(table) is the lowest key.  Locus code reads the
-mask domain only through two entry points that take a Multivector and return
-labels and Fractions: _lowest_power_term (every power test, contracted or not)
-and _plucker_violation (the (iota_S v) ^ v walk).
+int order of masks, so max(table) is the lowest key.  Products, the star,
+the transitions and the locus entry points (_lowest_power_term,
+_plucker_violation) read the stored table; label tuples and Fractions are
+decoded only at the public boundary: terms, coeff, support, str, the file
+formats and certificates.  This module alone maps labels to bits and back:
+_mask encodes a key, _encode and _decode a table, _coordinates reads a
+table at label keys for the form and polynomial evaluators, and _star_sign
+gives the star's sign of a key.
 """
 from __future__ import annotations
 
@@ -46,7 +52,6 @@ from .indices import (
     Window,
     ascending_key,
     exact,
-    key_table,
     plain_int,
     sort_with_sign,
 )
@@ -59,11 +64,12 @@ class FormatError(ValueError):
 class Multivector(Frozen):
     """Immutable sparse element of one exterior power of a window space.
 
-    _trusted(window, grade, terms) adopts a dict of ascending in-window keys
-    and nonzero Fractions unchecked.
+    Its terms are stored as the canonical pair (_table, _den) of the module
+    docstring; _trusted(window, grade, table, den) adopts such a pair
+    unchecked.
     """
 
-    __slots__ = ("window", "grade", "_terms")
+    __slots__ = ("window", "grade", "_table", "_den")
 
     def __init__(
         self,
@@ -72,8 +78,8 @@ class Multivector(Frozen):
         terms: Mapping[IndexSet, Fraction] | Iterable[tuple[IndexSet, Fraction]] = (),
     ):
         plain_int("grade", grade, 0)
-        table = key_table(window, grade, terms)
-        self._fill(window, grade, {key: coeff for key, coeff in table.items() if coeff})
+        table, den = _encode(window, grade, terms)
+        self._fill(window, grade, {key: c for key, c in table.items() if c}, den)
 
     # -------------------------------------------------------- constructors
 
@@ -91,22 +97,25 @@ class Multivector(Frozen):
         c = exact(coeff)
         iset, sign = sort_with_sign(indices)
         ascending_key(dict.fromkeys(iset), window)
-        return cls._trusted(window, len(iset), {iset: sign * c} if sign and c else {})
+        table = {_mask(window, iset): sign * c.numerator} if sign and c else {}
+        return cls._trusted(window, len(iset), table, c.denominator if table else 1)
 
     # -------------------------------------------------------- inspection
 
     @property
     def terms(self) -> Mapping[IndexSet, Fraction]:
-        return MappingProxyType(self._terms)
+        """The nonzero terms in lexicographic key order."""
+        return MappingProxyType(_decode(self.window, self._table, self._den))
 
     def coeff(self, indices: Iterable[int]) -> Fraction:
-        return self._terms.get(ascending_key(indices, self.window, self.grade), Fraction(0))
+        key = ascending_key(indices, self.window, self.grade)
+        return Fraction(self._table.get(_mask(self.window, key), 0), self._den)
 
     def support(self) -> tuple[IndexSet, ...]:
-        return tuple(sorted(self._terms))
+        return tuple(_labels(self.window, mask) for mask in sorted(self._table, reverse=True))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._table
 
     # -------------------------------------------------------- algebra
 
@@ -121,10 +130,12 @@ class Multivector(Frozen):
         if not isinstance(other, Multivector):
             return NotImplemented
         self._require_compatible(other)
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        return Multivector(self.window, self.grade, acc)
+        den = math.lcm(self._den, other._den)
+        acc = {key: c * (den // self._den) for key, c in self._table.items()}
+        scale = den // other._den
+        for key, c in other._table.items():
+            acc[key] = acc.get(key, 0) + c * scale
+        return _make(self.window, self.grade, {key: c for key, c in acc.items() if c}, den)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
@@ -132,25 +143,22 @@ class Multivector(Frozen):
         return self + (-other)
 
     def __neg__(self):
-        return Multivector(
-            self.window, self.grade, {k: -c for k, c in self._terms.items()}
-        )
+        table = {key: -c for key, c in self._table.items()}
+        return Multivector._trusted(self.window, self.grade, table, self._den)
 
     def __mul__(self, scalar):
         if isinstance(scalar, Multivector):
             return NotImplemented
         s = exact(scalar)
-        return Multivector(
-            self.window, self.grade, {k: s * c for k, c in self._terms.items()}
-        )
+        table = {key: c * s.numerator for key, c in self._table.items()} if s else {}
+        return _make(self.window, self.grade, table, self._den * s.denominator)
 
     __rmul__ = __mul__
 
     def __str__(self):
         """The bare term sum, such as "2*e(-1,3) + 1/2*e(1,2)", or "0"."""
         parts = []
-        for key in self.support():
-            c = self._terms[key]
+        for key, c in self.terms.items():
             label = "e(" + ",".join(str(i) for i in key) + ")"
             parts.append(f"{c}*{label}" if key else str(c))
         return " + ".join(parts) or "0"
@@ -263,7 +271,7 @@ class RationalMatrix(Frozen):
         return _rank_det(self._rows)[0]
 
 
-# ------------------------------------------------------------------ products
+# ------------------------------------------------------------------ tables
 
 @lru_cache(maxsize=64)
 def _frame(window: Window) -> dict[int, int]:
@@ -271,24 +279,54 @@ def _frame(window: Window) -> dict[int, int]:
     return {x: 1 << (window.size - 1 - i) for i, x in enumerate(window.elements())}
 
 
-def _masked(terms: Mapping, mask_of: Callable) -> tuple[dict, int]:
-    """terms as {mask_of(key): int} over the lcm D of their denominators, and D."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {mask_of(key): c.numerator * (den // c.denominator) for key, c in terms.items()}, den
-
-
-def _to_masks(v: Multivector) -> tuple[dict[int, int], int]:
-    bit = _frame(v.window)
-    return _masked(v._terms, lambda key: sum(map(bit.__getitem__, key)))
+def _mask(window: Window, key: Iterable[int]) -> int:
+    return sum(map(_frame(window).__getitem__, key))
 
 
 def _labels(window: Window, mask: int) -> IndexSet:
     return tuple(x for x, b in _frame(window).items() if mask & b)
 
 
-def _from_masks(window: Window, grade: int, table: dict, den: int) -> Multivector:
-    terms = {_labels(window, mask): Fraction(c, den) for mask, c in table.items()}
-    return Multivector._trusted(window, grade, terms)
+def _encode(window: Window, size: int, terms) -> tuple[dict[int, int], int]:
+    """A mapping or (key, value) pairs as a canonical table, zeros kept.
+
+    Each key passes ascending_key for the window and size and is given once;
+    each value passes exact.  The table is over the lcm of the denominators.
+    """
+    bit, values = _frame(window), {}
+    for raw_key, value in terms.items() if isinstance(terms, Mapping) else terms:
+        key = ascending_key(raw_key, window, size)
+        mask = sum(map(bit.__getitem__, key))
+        if mask in values:
+            raise ValueError(f"term {key} is given twice")
+        values[mask] = exact(value)
+    den = math.lcm(*(c.denominator for c in values.values()))
+    return {mask: c.numerator * (den // c.denominator) for mask, c in values.items()}, den
+
+
+def _decode(window: Window, table: dict, den: int) -> dict[IndexSet, Fraction]:
+    """A table of one grade as {key: Fraction}, keys in lexicographic order."""
+    masks = sorted(table, reverse=True)
+    return {_labels(window, mask): Fraction(table[mask], den) for mask in masks}
+
+
+def _reduced(table: dict, den: int) -> tuple[dict[int, int], int]:
+    """The pair divided by the gcd of den and every value: canonical, {} over 1 for zero."""
+    g = math.gcd(den, *table.values())
+    if g == 1:
+        return table, den
+    return {key: c // g for key, c in table.items()}, den // g
+
+
+def _make(window: Window, grade: int, table: dict, den: int) -> Multivector:
+    """A Multivector from a table of nonzero ints over a positive den."""
+    return Multivector._trusted(window, grade, *_reduced(table, den))
+
+
+def _coordinates(v: Multivector) -> tuple[Callable[[IndexSet], int], int]:
+    """v's coordinate reader, from an in-window key to its int over den, and den."""
+    bit, table = _frame(v.window), v._table
+    return (lambda key: table.get(sum(map(bit.__getitem__, key)), 0)), v._den
 
 
 def _lowest(window: Window, table: dict, den: int) -> tuple[IndexSet, Fraction]:
@@ -297,20 +335,28 @@ def _lowest(window: Window, table: dict, den: int) -> tuple[IndexSet, Fraction]:
     return _labels(window, mask), Fraction(table[mask], den)
 
 
+# ------------------------------------------------------------------ products
+
+def _below(a: int) -> int:
+    """Bit j is the parity of a's bits below j."""
+    below, rest = 0, a
+    while rest:
+        low = rest & -rest
+        below, rest = below ^ -(low << 1), rest ^ low
+    return below
+
+
 def _wedge_masks(left: dict, right: dict) -> dict[int, int]:
     """Exterior product of two mask tables, zeros dropped.
 
     e_a ^ e_b is (-1)^k e_(a|b), where k counts the pairs of a bit of a below
-    a bit of b: a label of a after one of b.  Bit j of `below` is the parity
-    of a's bits below j, so k's parity is the popcount of below & b.
+    a bit of b: a label of a after one of b.  So k's parity is the popcount
+    of _below(a) & b.
     """
     acc: dict[int, int] = {}
     pairs = list(right.items())
     for a, ca in left.items():
-        below, rest = 0, a
-        while rest:
-            low = rest & -rest
-            below, rest = below ^ -(low << 1), rest ^ low
+        below = _below(a)
         for b, cb in pairs:
             if not a & b:
                 c = ca * cb
@@ -340,14 +386,12 @@ def wedge(u: Multivector, v: Multivector) -> Multivector:
     """Exterior product; terms sharing an index annihilate."""
     if u.window != v.window:
         raise DimensionMismatch(f"windows differ: {u.window} vs {v.window}")
-    (left, du), (right, dv) = _to_masks(u), _to_masks(v)
-    return _from_masks(u.window, u.grade + v.grade, _wedge_masks(left, right), du * dv)
+    return _make(u.window, u.grade + v.grade, _wedge_masks(u._table, v._table), u._den * v._den)
 
 
 def wedge_power(v: Multivector, l: int) -> Multivector:
     plain_int("power", l, 0)
-    table, den = _to_masks(v)
-    return _from_masks(v.window, v.grade * l, _power_masks(table, l), den**l)
+    return _make(v.window, v.grade * l, _power_masks(v._table, l), v._den**l)
 
 
 def contract(f: Covector, v: Multivector) -> Multivector:
@@ -356,9 +400,8 @@ def contract(f: Covector, v: Multivector) -> Multivector:
         raise DimensionMismatch("covector and multivector windows differ")
     if v.grade == 0:
         raise DimensionMismatch("cannot contract a grade-0 element")
-    weights, df = _masked(f._coeffs, _frame(v.window).__getitem__)
-    table, dv = _to_masks(v)
-    return _from_masks(v.window, v.grade - 1, _contract_masks(weights, table), df * dv)
+    weights, df = _encode(v.window, 1, {(x,): c for x, c in f._coeffs.items()})
+    return _make(v.window, v.grade - 1, _contract_masks(weights, v._table), df * v._den)
 
 
 # ------------------------------------------------------------------ locus entry points
@@ -370,32 +413,31 @@ def _lowest_power_term(v: Multivector, l: int, draws: Iterable = ((),)):
     yield is (index, draw, lowest surviving key of the power, its Fraction).
     """
     bit = _frame(v.window)
-    table, den = _to_masks(v)
+    den = v._den**l
     for index, draw in enumerate(draws):
-        current = table
+        current = v._table
         for f in draw:
             current = _contract_masks({bit[x]: c for x, c in f.items() if c}, current)
         power = _power_masks(current, l)
         if power:
-            yield (index, draw, *_lowest(v.window, power, den**l))
+            yield (index, draw, *_lowest(v.window, power, den))
 
 
 def _plucker_violation(v: Multivector):
     """(S, T, value) of the lowest S with (iota_S v) ^ v nonzero, or None.
 
-    T is the product's lowest key and value its coefficient; S runs in label
-    order, not mask order.
+    T is the product's lowest key and value its coefficient; the sets S share
+    one size, so label order is descending mask order.
     """
-    w = v.window
-    table, den = _to_masks(v)
+    w, table = v.window, v._table
     contracted: dict = {}
     for t in _frame(w).values():  # u_S's e_t entry is the e_S coefficient of v contracted by e^t
         for small, c in _contract_masks({t: 1}, table).items():
             contracted.setdefault(small, {})[t] = c
-    for small in sorted(contracted, key=lambda s: _labels(w, s)):
+    for small in sorted(contracted, reverse=True):
         product = _wedge_masks(contracted[small], table)
         if product:
-            return (_labels(w, small), *_lowest(w, product, den * den))
+            return (_labels(w, small), *_lowest(w, product, v._den**2))
     return None
 
 
@@ -412,36 +454,43 @@ def transition(kind: str, v: Multivector) -> Multivector:
     "i_dagger" removes the deepest negative row (terms using it die), and
     "j_dagger" contracts away the current top label.  The dagger maps undo
     their partners exactly: i_dagger(i(v)) = v and j_dagger(j(v)) = v.
+    The deepest label is the top bit and the top label bit 0.
     """
-    w = v.window
+    w, table, den = v.window, v._table, v._den
     if kind == "i":
-        return Multivector._trusted(Window(w.n + 1, w.p), v.grade, dict(v._terms))
+        return Multivector._trusted(Window(w.n + 1, w.p), v.grade, table, den)
     if kind == "j":
-        label = w.p + 1
-        wider = Window(w.n, w.p + 1)
-        return Multivector._trusted(
-            wider, v.grade + 1, {key + (label,): c for key, c in v._terms.items()}
-        )
+        wider = {mask << 1 | 1: c for mask, c in table.items()}
+        return Multivector._trusted(Window(w.n, w.p + 1), v.grade + 1, wider, den)
     if kind == "i_dagger":
         if w.n < 1:
             raise DimensionMismatch("no negative row to drop")
-        deepest = -w.n
-        kept = {key: c for key, c in v._terms.items() if deepest not in key}
-        return Multivector._trusted(Window(w.n - 1, w.p), v.grade, kept)
+        deepest = 1 << (w.size - 1)
+        kept = {mask: c for mask, c in table.items() if not mask & deepest}
+        return _make(Window(w.n - 1, w.p), v.grade, kept, den)
     if kind == "j_dagger":
         if w.p < 1 or v.grade < 1:
             raise DimensionMismatch("need a positive column and positive grade")
-        top = w.p
-        kept = {key[:-1]: c for key, c in v._terms.items() if key[-1] == top}
-        return Multivector._trusted(Window(w.n, w.p - 1), v.grade - 1, kept)
+        kept = {mask >> 1: c for mask, c in table.items() if mask & 1}
+        return _make(Window(w.n, w.p - 1), v.grade - 1, kept, den)
     raise ValueError(f"unknown transition kind {kind!r}; expected one of {TRANSITION_KINDS}")
 
 
-def _star_key(universe: IndexSet, key: IndexSet) -> tuple[int, IndexSet]:
-    """Where the star sends e_key: sgn(I, I^c), read from I's places, and -I^c."""
-    members = set(key)
-    moves = sum(map(universe.index, key)) - math.comb(len(key), 2)
-    return -1 if moves & 1 else 1, tuple(-x for x in reversed(universe) if x not in members)
+def _star(mask: int, size: int) -> tuple[int, int]:
+    """The star's sign on a key of a size-label window, and the image key's mask.
+
+    The negated complement is the complement with its bits reversed, as
+    negation reverses label order; sgn(I, I^c) counts the pairs of a member
+    after a non-member, so it is the wedge sign of e_I ^ e_(I^c).
+    """
+    rest = mask ^ ((1 << size) - 1)
+    image = int(format(rest, f"0{size}b")[::-1], 2)
+    return -1 if (_below(mask) & rest).bit_count() & 1 else 1, image
+
+
+def _star_sign(window: Window, key: IndexSet) -> int:
+    """sgn(I, I^c) for an in-window key I."""
+    return _star(_mask(window, key), window.size)[0]
 
 
 def hodge_star(v: Multivector) -> Multivector:
@@ -451,12 +500,11 @@ def hodge_star(v: Multivector) -> Multivector:
     motivates the negation matches e_i with e_(-i).
     """
     w = v.window
-    universe = w.elements()
-    acc: dict[IndexSet, Fraction] = {}
-    for key, coeff in v._terms.items():
-        sign, image = _star_key(universe, key)
-        acc[image] = coeff * sign
-    return Multivector._trusted(Window(w.p, w.n), w.size - v.grade, acc)
+    acc: dict[int, int] = {}
+    for mask, c in v._table.items():
+        sign, image = _star(mask, w.size)
+        acc[image] = sign * c
+    return Multivector._trusted(Window(w.p, w.n), w.size - v.grade, acc, v._den)
 
 
 def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:
@@ -472,9 +520,8 @@ def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:
         b: {bit[r]: x.numerator * (dm // x.denominator) for r, x in m.column(label).items()}
         for label, b in bit.items()
     }
-    table, dv = _to_masks(v)
     total: dict[int, int] = {}
-    for key, coeff in table.items():
+    for key, coeff in v._table.items():
         part = {0: coeff}
         for b, column in columns.items():
             if key & b:
@@ -483,7 +530,7 @@ def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:
                     break
         for image, c in part.items():
             total[image] = total.get(image, 0) + c
-    return _from_masks(v.window, v.grade, {k: c for k, c in total.items() if c}, dv * dm**v.grade)
+    return _make(v.window, v.grade, {k: c for k, c in total.items() if c}, v._den * dm**v.grade)
 
 
 def nilpotency_degree(v: Multivector) -> int:
@@ -492,11 +539,10 @@ def nilpotency_degree(v: Multivector) -> int:
         if v.is_zero():
             return 1
         raise ValueError("nonzero scalars have no vanishing power")
-    table = _to_masks(v)[0]
-    power, degree = table, 1
+    power, degree = v._table, 1
     while power:
         degree += 1
-        power = _wedge_masks(power, table)
+        power = _wedge_masks(power, v._table)
     return degree
 
 
@@ -561,10 +607,7 @@ def multivector_to_obj(v: Multivector) -> dict:
     return {
         "window": [v.window.n, v.window.p],
         "grade": v.grade,
-        "terms": [
-            {"indices": list(key), "coeff": str(v._terms[key])}
-            for key in v.support()
-        ],
+        "terms": [{"indices": list(key), "coeff": str(c)} for key, c in v.terms.items()],
     }
 
 

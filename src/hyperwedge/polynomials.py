@@ -13,6 +13,7 @@ window, so a stray index can never be silently read as zero.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -21,6 +22,7 @@ from .indices import DimensionMismatch, Frozen, IndexSet, Window, ascending_key,
 from .multivector import (
     FormatError,
     Multivector,
+    _coordinates,
     format_errors,
     read_header,
     read_terms,
@@ -189,14 +191,12 @@ def poly_eval(p: WedgePolynomial, v: Multivector) -> Fraction:
         p.with_window(v.window)  # every variable must fit the argument's window
     elif v.window != p.window:
         raise DimensionMismatch(f"polynomial lives in {p.window}, argument in {v.window}")
+    x, den = _coordinates(v)
     total = Fraction(0)
     for mono, coeff in p._terms.items():
-        value = coeff
-        for factor in mono:
-            value *= v._terms.get(factor, 0)
-            if not value:
-                break
-        total += value
+        value = math.prod(map(x, mono))
+        if value:
+            total += coeff * Fraction(value, den ** len(mono))
     return total
 
 

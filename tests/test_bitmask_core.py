@@ -19,12 +19,14 @@ from hyperwedge.multivector import (
     Covector,
     Multivector,
     RationalMatrix,
+    TRANSITION_KINDS,
     _frame,
     _labels,
-    _star_key,
     contract,
     gl_apply,
+    hodge_star,
     nilpotency_degree,
+    transition,
     wedge,
     wedge_power,
 )
@@ -89,7 +91,7 @@ def test_products_match_the_tuple_kernel():
         v = u if rng.random() < 0.3 else _element(rng, window, gv)
         product = wedge(u, v)
         assert product == oracle.wedge(u, v)
-        seen["cancelled"] += 0 in oracle.wedge_terms(u._terms, v._terms).values()
+        seen["cancelled"] += 0 in oracle.wedge_terms(u.terms, v.terms).values()
         seen["p/q result"] += any(c.denominator > 1 for c in product.terms.values())
         seen["negative labels"] += window.n > 0
         seen["grade 0"] += 0 in (u.grade, v.grade)
@@ -111,8 +113,8 @@ def test_products_match_the_tuple_kernel():
 def test_varieties_binds_no_mask_helper():
     # locus code reaches the mask format only through the two entry points
     helpers = [getattr(multivector, name) for name in (
-        "_to_masks", "_frame", "_labels", "_lowest", "_wedge_masks", "_power_masks",
-        "_contract_masks")]
+        "_frame", "_mask", "_labels", "_encode", "_decode", "_reduced", "_coordinates",
+        "_lowest", "_wedge_masks", "_power_masks", "_contract_masks", "_star")]
     bound = [name for name, value in vars(varieties).items()
              if any(value is helper for helper in helpers)]
     assert bound == []
@@ -138,16 +140,37 @@ def test_varieties_binds_no_form_evaluator():
     assert bound == []
 
 
-def test_star_key_matches_the_shuffle_sign_rule():
+def test_star_and_transitions_match_the_tuple_oracle():
+    # every basis key up to (4,4), then p/q points up to (5,5), one-sided
+    # windows and grades 0 and N included
     checked = 0
     for n in range(5):
         for p in range(5):
-            universe = Window(n, p).elements()
-            for grade in range(len(universe) + 1):
-                for key in combinations(universe, grade):
-                    assert _star_key(universe, key) == oracle.star_key(universe, key)
+            window = Window(n, p)
+            for grade in range(window.size + 1):
+                for key in combinations(window.elements(), grade):
+                    e = Multivector.basis(window, key, Fraction(-3, 2))
+                    assert hodge_star(e) == oracle.hodge_star(e)
                     checked += 1
     assert checked == 961
+    rng = random.Random(2027)
+    seen = dict.fromkeys(("one-sided", "grade 0", "grade N", "p/q"), 0)
+    for n in range(6):
+        for p in range(6):
+            window = Window(n, p)
+            for grade in {0, window.size, rng.randint(0, window.size)}:
+                v = _element(rng, window, grade)
+                assert hodge_star(v) == oracle.hodge_star(v)
+                assert hodge_star(hodge_star(v)) == oracle.hodge_star(oracle.hodge_star(v))
+                for kind in TRANSITION_KINDS:
+                    if kind == "i_dagger" and not n or kind == "j_dagger" and not (p and grade):
+                        continue
+                    assert transition(kind, v) == oracle.transition(kind, v), kind
+                seen["one-sided"] += not (n and p)
+                seen["grade 0"] += grade == 0
+                seen["grade N"] += grade == window.size
+                seen["p/q"] += any(c.denominator > 1 for c in v.terms.values())
+    assert min(seen.values()) >= 10, seen
 
 
 def test_only_indices_writes_object_fields():
@@ -166,6 +189,17 @@ def test_only_indices_decides_window_fit():
                 if path.name != "indices.py"
                 and re.search(r"outside window|fit window|contains_set", path.read_text())]
     assert deciders == []
+
+
+def test_only_multivector_maps_labels_to_bits():
+    # one label-to-bit map, multivector._frame: every other module asks
+    # multivector to encode a key or decode a table
+    package = Path(multivector.__file__).parent
+    mappers = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "multivector.py"
+               and re.search(r"\b_frame\b|\b_labels\b|\{\w+: 1 << |bit\.__getitem__|\.bit_count\(",
+                            path.read_text())]
+    assert mappers == []
 
 
 def test_locus_reports_match_the_tuple_kernel():

@@ -17,7 +17,14 @@ import pytest
 import hyperwedge.varieties as varieties
 from hyperwedge.elimination import CoordinateAssignment
 from hyperwedge.forms import FormSpec, hpf_eval, hpf_multilinear, plucker_relation
-from hyperwedge.indices import DimensionMismatch, GoodParams, Window, index_set, young_diagram
+from hyperwedge.indices import (
+    DimensionMismatch,
+    GoodParams,
+    Window,
+    exact,
+    index_set,
+    young_diagram,
+)
 from hyperwedge.multivector import Covector, Multivector, RationalMatrix
 from hyperwedge.polynomials import WedgePolynomial, poly_mul, poly_scale
 from hyperwedge.varieties import (
@@ -59,6 +66,22 @@ def test_coefficients_are_never_coerced(entry, value):
 def test_int_and_fraction_coefficients_agree(entry):
     assert entry(3) == entry(Fraction(3)) != entry(Fraction(1, 3))
     assert entry(0) == entry(Fraction(0))
+
+
+def test_exact_returns_a_fraction_as_it_is():
+    half = Fraction(1, 2)
+    assert exact(half) is half
+
+    class Ratio(Fraction):
+        pass
+
+    # a subclass becomes a plain Fraction of the same value
+    value = exact(Ratio(3, 4))
+    assert type(value) is Fraction and value == Fraction(3, 4)
+    assert type(exact(5)) is Fraction and exact(5) == 5
+    for bad in (True, False, 1.0, 0.5, Decimal("1")):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            exact(bad)
 
 
 SEEDED = {

@@ -838,7 +838,7 @@ def test_pass_matches_the_oracle_on_random_partial_tables(l):
 
 def cold_plans():
     elimination._plan.cache_clear()
-    elimination._frame.cache_clear()
+    elimination._key_order.cache_clear()
 
 
 def assert_reuse_matches_the_oracle(m, l, calls):
@@ -1062,6 +1062,28 @@ def test_inline_goodness_matches_is_good(window, params):
         negatives = [i for i in key if i < 0]
         absent = [j for j in range(1, window.p + 1) if j not in key]
         assert (key in kept) == is_good(negatives, absent, params), key
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_projection_matches_the_key_oracle_on_seeded_points(seed):
+    # p/q points with dropped terms: known zeros stay known, apart from the
+    # keys never projected, and missing() is exactly the rest, in key order
+    rng = random.Random(seed)
+    zeros = 0
+    for window, params in GOODNESS_CASES + [(Window(10, 2), PAIR), (Window(6, 3), PAIR)]:
+        keys = list(combinations(window.elements(), window.p))
+        picks = rng.sample(keys, max(1, len(keys) // 2))
+        v = Multivector(window, window.p, {key: Fraction(rng.choice((-3, -1, 1, 5)),
+                                                          rng.randint(1, 6)) for key in picks})
+        projected, oracle = good_projection(v, params), oracle_projection(v, params)
+        assert projected == oracle
+        known = oracle.known  # each read of known decodes the table anew
+        assert list(projected.known.items()) == list(known.items())
+        assert projected.missing() == tuple(key for key in keys if key not in known)
+        known_zero = [key for key, value in known.items() if value == 0]
+        assert not set(known_zero) & set(projected.missing())
+        zeros += len(known_zero)
+    assert zeros
 
 
 def test_inline_goodness_drops_keys_of_both_kinds():

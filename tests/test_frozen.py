@@ -7,7 +7,7 @@ import pytest
 
 from hyperwedge.elimination import good_projection, reconstruct_all
 from hyperwedge.indices import Frozen, GoodParams, Window
-from hyperwedge.multivector import Covector, Multivector, RationalMatrix, wedge
+from hyperwedge.multivector import Covector, Multivector, RationalMatrix, hodge_star, wedge
 from hyperwedge.polynomials import WedgePolynomial
 from hyperwedge.varieties import in_hpf
 
@@ -74,3 +74,26 @@ def test_frozen_equality_is_by_type_and_value():
     with pytest.raises(TypeError):
         hash(a)
 
+
+
+def test_equal_values_reached_by_different_routes_are_equal():
+    # the stored table is canonical, so a value reached through products,
+    # sums or scaling compares, pickles and copies like the one built directly
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    e = {label: Multivector.basis(W04, (label,)) for label in (1, 2, 3, 4)}
+    mixed = third * e[1] + Fraction(3, 4) * e[3]
+    routes = [
+        (wedge(half * e[1], 2 * e[2]), Multivector.basis(W04, (1, 2))),
+        (wedge(mixed, Fraction(3, 2) * e[2]),
+         Multivector(W04, 2, {(1, 2): half, (2, 3): Fraction(-9, 8)})),
+        (PLANES + third * PLANES - Fraction(4, 3) * PLANES, Multivector.zero(W04, 2)),
+        (wedge(mixed, mixed), Multivector.zero(W04, 2)),
+        ((PLANES * third) * 3, PLANES),
+        (hodge_star(hodge_star(Multivector(W04, 2, {(1, 3): Fraction(6, 4)}))),
+         Multivector(W04, 2, {(1, 3): Fraction(3, 2)})),
+    ]
+    for reached, direct in routes:
+        assert reached == direct
+        assert reached.terms == direct.terms and str(reached) == str(direct)
+        for clone in round_trips(reached):
+            assert clone == direct

@@ -5,7 +5,8 @@ every pair of terms builds frozensets, merges the tuples while counting
 crossing inversions, and multiplies Fractions.  Each function mirrors the
 library routine of the same name as it stood before the integer core; the
 component tests mirror the form enumeration that preceded contracted powers,
-and star_key the shuffle-sign rule that preceded the positional one.
+and hodge_star and transition the label-tuple maps that preceded the star
+and the window changes on masks, the star's sign a shuffle sign.
 """
 import math
 import random
@@ -19,8 +20,8 @@ from hyperwedge.forms import (
     plucker_relation,
     trivial_region,
 )
-from hyperwedge.indices import shuffle_sign
-from hyperwedge.multivector import Covector, Multivector, hodge_star
+from hyperwedge.indices import Window, shuffle_sign
+from hyperwedge.multivector import Covector, Multivector
 from hyperwedge.varieties import MembershipReport
 
 
@@ -58,7 +59,7 @@ def wedge_terms(left, right):
 
 def wedge(u, v):
     assert u.window == v.window
-    return Multivector(u.window, u.grade + v.grade, wedge_terms(u._terms, v._terms))
+    return Multivector(u.window, u.grade + v.grade, wedge_terms(u.terms, v.terms))
 
 
 def wedge_power(v, l):
@@ -72,7 +73,7 @@ def contract(f, v):
     """Right interior product: removing key[pos] costs (-1)^(labels after it)."""
     assert f.window == v.window and v.grade > 0
     acc = {}
-    for key, coeff in v._terms.items():
+    for key, coeff in v.terms.items():
         for pos in range(len(key) - 1, -1, -1):
             weight = f.coeff(key[pos])
             if weight:
@@ -84,7 +85,7 @@ def contract(f, v):
 
 def gl_apply(m, v):
     total = {}
-    for key, coeff in v._terms.items():
+    for key, coeff in v.terms.items():
         part = {(): coeff}
         for label in key:
             column = {(r,): c for r, c in m.column(label).items()}
@@ -217,3 +218,29 @@ def star_key(universe, key):
     members = set(key)
     comp = tuple(x for x in universe if x not in members)
     return shuffle_sign([key, comp]), tuple(sorted(-x for x in comp))
+
+
+def hodge_star(v):
+    """Each term e_I to star_key's sign times e_(-I^c), in the mirrored window."""
+    w = v.window
+    terms = {}
+    for key, coeff in v.terms.items():
+        sign, image = star_key(w.elements(), key)
+        terms[image] = sign * coeff
+    return Multivector(Window(w.p, w.n), w.size - v.grade, terms)
+
+
+def transition(kind, v):
+    """The four window changes on label tuples."""
+    w, terms = v.window, v.terms
+    if kind == "i":
+        return Multivector(Window(w.n + 1, w.p), v.grade, terms)
+    if kind == "j":
+        return Multivector(Window(w.n, w.p + 1), v.grade + 1,
+                           {key + (w.p + 1,): c for key, c in terms.items()})
+    if kind == "i_dagger":
+        return Multivector(Window(w.n - 1, w.p), v.grade,
+                           {key: c for key, c in terms.items() if -w.n not in key})
+    assert kind == "j_dagger"
+    return Multivector(Window(w.n, w.p - 1), v.grade - 1,
+                       {key[:-1]: c for key, c in terms.items() if key[-1] == w.p})
