@@ -29,7 +29,6 @@ from .multivector import (
     hodge_star,
     multivector_from_obj,
     multivector_to_obj,
-    nilpotency_degree,
     parse_fraction,
     rank_two_form,
     transition,

@@ -392,4 +392,6 @@ def component_equations(
     specs = component_form_specs(m, l, side)
     if dual:
         return None, (pullback_dual(spec, window) for spec in specs)
-    return None, (hpf_polynomial(spec).with_window(window) for spec in specs)
+    # every form's labels come from window, so its monomials fit it unchecked
+    return None, (WedgePolynomial._trusted(p.grade, p._terms, window, p.label)
+                  for p in map(hpf_polynomial, specs))

@@ -33,7 +33,9 @@ decoded only at the public boundary: terms, coeff, support, str, the file
 formats and certificates.  This module alone maps labels to bits and back:
 _mask encodes a key, _encode and _decode a table, _coordinates reads a
 table at label keys for the form and polynomial evaluators, and _star_sign
-gives the star's sign of a key.
+gives the star's sign of a key.  A matrix is stored the same way, as int
+rows over one denominator, and every rank and determinant, a two-form's
+included, is one fraction-free Bareiss pass in ints: _rank_det.
 """
 from __future__ import annotations
 
@@ -197,16 +199,16 @@ class Covector(Frozen):
         return f"<{body} | covector on {self.window}>"
 
 
-def _rank_det(rows: Iterable[Iterable[Fraction]]) -> tuple[int, Fraction]:
-    """Rank and determinant of a square matrix by one Bareiss echelon pass.
+def _rank_det(rows: Iterable[Iterable[int]]) -> tuple[int, int]:
+    """Rank and determinant of a square int matrix by one Bareiss echelon pass.
 
-    Each update divides exactly by the previous pivot, and a column with no
-    pivot left is skipped.  The determinant is the swap sign times the last
-    pivot at full rank, and 0 below it.
+    Each update divides exactly, with //, by the previous pivot, and a column
+    with no pivot left is skipped.  The determinant is the swap sign times
+    the last pivot at full rank, and 0 below it.
     """
     a = [list(row) for row in rows]
     size = len(a)
-    sign, prev, rank = 1, Fraction(1), 0
+    sign, prev, rank = 1, 1, 0
     for col in range(size):
         pivot = next((i for i in range(rank, size) if a[i][col]), None)
         if pivot is None:
@@ -217,29 +219,29 @@ def _rank_det(rows: Iterable[Iterable[Fraction]]) -> tuple[int, Fraction]:
         top = a[rank]
         for row in a[rank + 1:]:
             for j in range(col + 1, size):
-                row[j] = (row[j] * top[col] - row[col] * top[j]) / prev
+                row[j] = (row[j] * top[col] - row[col] * top[j]) // prev
         prev = top[col]
         rank += 1
-    return rank, sign * prev if rank == size else Fraction(0)
+    return rank, sign * prev if rank == size else 0
 
 
 class RationalMatrix(Frozen):
-    """Dense square matrix over the window labels, exact rational entries."""
+    """Dense square matrix over the window labels: int rows over one canonical denominator."""
 
-    __slots__ = ("window", "_rows")
+    __slots__ = ("window", "_rows", "_den")
 
     def __init__(self, window: Window, rows: Iterable[Iterable]):
         size = window.size
-        data = tuple(tuple(exact(x) for x in row) for row in rows)
+        data = [[exact(x) for x in row] for row in rows]
         if len(data) != size or any(len(row) != size for row in data):
             raise DimensionMismatch(f"matrix must be {size}x{size} for {window}")
-        self._fill(window, data)
+        den = math.lcm(*(x.denominator for row in data for x in row))
+        ints = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
+        self._fill(window, ints, den)
 
     @classmethod
     def identity(cls, window: Window) -> "RationalMatrix":
-        return cls.from_function(
-            window, lambda r, c: Fraction(1) if r == c else Fraction(0)
-        )
+        return cls.from_function(window, lambda r, c: int(r == c))
 
     @classmethod
     def from_function(
@@ -254,18 +256,18 @@ class RationalMatrix(Frozen):
         return label + w.n if label < 0 else label + w.n - 1
 
     def entry(self, row_label: int, col_label: int) -> Fraction:
-        return self._rows[self._pos(row_label)][self._pos(col_label)]
+        return Fraction(self._rows[self._pos(row_label)][self._pos(col_label)], self._den)
 
     def column(self, col_label: int) -> dict[int, Fraction]:
         j = self._pos(col_label)
         return {
-            label: row[j]
+            label: Fraction(row[j], self._den)
             for label, row in zip(self.window.elements(), self._rows)
             if row[j]
         }
 
     def det(self) -> Fraction:
-        return _rank_det(self._rows)[1]
+        return Fraction(_rank_det(self._rows)[1], self._den**self.window.size)
 
     def rank(self) -> int:
         return _rank_det(self._rows)[0]
@@ -514,11 +516,10 @@ def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:
     """
     if m.window != v.window:
         raise DimensionMismatch("matrix and multivector windows differ")
-    bit = _frame(v.window)
-    dm = math.lcm(*(x.denominator for row in m._rows for x in row))
+    bits = list(_frame(v.window).values())
     columns = {  # in label order, the order of each key's factors
-        b: {bit[r]: x.numerator * (dm // x.denominator) for r, x in m.column(label).items()}
-        for label, b in bit.items()
+        b: {rb: row[j] for rb, row in zip(bits, m._rows) if row[j]}
+        for j, b in enumerate(bits)
     }
     total: dict[int, int] = {}
     for key, coeff in v._table.items():
@@ -530,27 +531,18 @@ def gl_apply(m: RationalMatrix, v: Multivector) -> Multivector:
                     break
         for image, c in part.items():
             total[image] = total.get(image, 0) + c
-    return _make(v.window, v.grade, {k: c for k, c in total.items() if c}, v._den * dm**v.grade)
-
-
-def nilpotency_degree(v: Multivector) -> int:
-    """Least l with the l-th power zero; 1 when v itself vanishes."""
-    if v.grade == 0:
-        if v.is_zero():
-            return 1
-        raise ValueError("nonzero scalars have no vanishing power")
-    power, degree = v._table, 1
-    while power:
-        degree += 1
-        power = _wedge_masks(power, v._table)
-    return degree
+    return _make(v.window, v.grade, {k: c for k, c in total.items() if c}, v._den * m._den**v.grade)
 
 
 def rank_two_form(v: Multivector) -> int:
-    """Largest r with the r-th wedge power nonzero (grade-2 input)."""
+    """Largest r with the r-th wedge power nonzero: half the rank of v's skew matrix."""
     if v.grade != 2:
         raise DimensionMismatch("rank is defined for grade-2 elements")
-    return nilpotency_degree(v) - 1
+    rows = [[0] * v.window.size for _ in range(v.window.size)]
+    for mask, c in v._table.items():
+        i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+        rows[i][j], rows[j][i] = c, -c
+    return _rank_det(rows)[0] // 2
 
 
 # ------------------------------------------------------------------ files

@@ -203,6 +203,8 @@ def in_dual_hpf(r: int, s: int, v: Multivector) -> MembershipReport:
     plain_int("r", r)
     plain_int("s", s)
     expected = v.window.size - r
+    if expected < 0:
+        raise DimensionMismatch(f"dual width r={r} exceeds window size {v.window.size}")
     if v.grade != expected:
         raise DimensionMismatch(
             f"dual locus lives in grade {expected}, argument has {v.grade}"

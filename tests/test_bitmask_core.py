@@ -25,7 +25,7 @@ from hyperwedge.multivector import (
     contract,
     gl_apply,
     hodge_star,
-    nilpotency_degree,
+    rank_two_form,
     transition,
     wedge,
     wedge_power,
@@ -102,12 +102,32 @@ def test_products_match_the_tuple_kernel():
             labels = rng.sample(window.elements(), rng.randint(0, window.size))
             f = Covector(window, {x: _pq(rng) for x in labels})
             assert contract(f, u) == oracle.contract(f, u)
-            assert nilpotency_degree(u) == oracle.nilpotency_degree(u)
+        if u.grade == 2:
+            assert rank_two_form(u) == oracle.nilpotency_degree(u) - 1
         rows = [[_pq(rng) if rng.random() < 0.6 else 0 for _ in range(window.size)]
                 for _ in range(window.size)]
         m = RationalMatrix(window, rows)
         assert gl_apply(m, u) == oracle.gl_apply(m, u)
     assert min(seen.values()) >= 20, seen
+
+
+def test_two_form_rank_matches_the_power_oracle():
+    # dense p/q two-forms of every rank, as sums of products of dense vectors,
+    # in every window up to (4,4)
+    rng = random.Random(2028)
+    seen = set()
+    for n in range(5):
+        for p in range(5):
+            window = Window(n, p)
+            for rank in range(window.size // 2 + 1):
+                v = Multivector.zero(window, 2)
+                for _ in range(rank):
+                    pair = [Multivector(window, 1, {(x,): _pq(rng) for x in window.elements()})
+                            for _ in range(2)]
+                    v = v + wedge(*pair)
+                assert rank_two_form(v) == oracle.nilpotency_degree(v) - 1
+                seen.add((window.size, rank_two_form(v)))
+    assert seen == {(size, r) for size in range(9) for r in range(size // 2 + 1)}
 
 
 def test_varieties_binds_no_mask_helper():

@@ -360,6 +360,12 @@ def test_member_dual_alone(tmp_path, capsys):
     assert rc == 0
 
 
+def test_member_dual_names_a_width_beyond_the_window(tmp_path, capsys):
+    src = save(tmp_path / "scalar.json", Multivector(Window(0, 0), 0, {(): 1}))
+    assert main(["member", "--dual", "2", "1", src]) == 3
+    assert capsys.readouterr() == ("", "error: dual width r=2 exceeds window size 0\n")
+
+
 def test_member_max_bound_refutes_t(tmp_path, capsys):
     t, _ = trivector_t()
     src = save(tmp_path / "t.json", t)

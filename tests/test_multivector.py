@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -430,6 +431,22 @@ def test_rank_two_form_matches_matrix_rank():
 
         m = RationalMatrix.from_function(w, entry)
         assert 2 * rank_two_form(v) == rank_oracle(m)
+
+
+def test_rank_two_form_is_fast_on_a_dense_window():
+    # the fourth wedge power of this form has up to C(20, 8) keys; one
+    # elimination of its 20x20 skew matrix needs none of them
+    rng = random.Random(21)
+    w = Window(10, 10)
+    v = Multivector.zero(w, 2)
+    for _ in range(4):
+        pair = [Multivector(w, 1, {(x,): Fraction(rng.choice((-5, -3, 2, 7)), rng.randint(1, 4))
+                                   for x in w.elements()}) for _ in range(2)]
+        v = v + wedge(*pair)
+    assert len(v.support()) == 190
+    start = time.perf_counter()
+    assert rank_two_form(v) == 4
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------- matrices
