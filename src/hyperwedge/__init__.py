@@ -37,7 +37,6 @@ from .multivector import (
 )
 from .polynomials import (
     WedgePolynomial,
-    monomial,
     poly_equal,
     poly_eval,
     poly_from_obj,

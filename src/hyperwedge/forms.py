@@ -48,7 +48,7 @@ from .indices import (
     shuffle_sign,
     sort_with_sign,
 )
-from .multivector import Multivector, _coordinates, _star_sign
+from .multivector import Multivector, _coordinates, _star_key
 from .polynomials import WedgePolynomial
 
 
@@ -191,8 +191,8 @@ def _spec_plan(spec: FormSpec):
 def hpf_polynomial(spec: FormSpec) -> WedgePolynomial:
     """The form as a polynomial in size-(m + |tail|) coordinates."""
     keys, rows = _spec_plan(spec)
-    terms = {tuple(factors(keys)): Fraction(sign) for factors, _, sign in rows}
-    return WedgePolynomial(spec.grade, terms, None, spec.label)
+    terms = {tuple(sorted(factors(keys))): Fraction(sign) for factors, _, sign in rows}
+    return WedgePolynomial._trusted(spec.grade, terms, None, spec.label)
 
 
 def hpf_eval(spec: FormSpec, v: Multivector) -> Fraction:
@@ -263,7 +263,7 @@ def wedge_via_hpf(vs: Iterable[Multivector]) -> Multivector:
     out_grade = m * len(vec)
     terms = {}
     for chosen in itertools.combinations(support, out_grade):
-        value = hpf_multilinear(FormSpec(m, len(vec), chosen), vec)
+        value = hpf_multilinear(FormSpec._trusted(m, len(vec), chosen, ()), vec)
         if value:
             terms[chosen] = value
     return Multivector(window, out_grade, terms)
@@ -316,7 +316,7 @@ def filtration_expansion(
         if pivot not in block:
             continue
         rest = tuple(x for x in base if x not in block)
-        out.append((shuffle_sign([block, rest]), block, FormSpec(m, l, rest)))
+        out.append((shuffle_sign([block, rest]), block, FormSpec._trusted(m, l, rest, ())))
     return out
 
 
@@ -340,35 +340,31 @@ def component_form_specs(m: int, l: int, window: Window) -> Iterator[FormSpec]:
             yield FormSpec._trusted(m, l, chosen, extra)
 
 
-def trivial_region(m: int, l: int, window: Window) -> Optional[str]:
-    """Why the (m, l) component fills the whole window, or None if it does not."""
+def trivial_region(m: int, l: int, window: Window, dual: bool = False) -> Optional[str]:
+    """Why the (m, l) component fills the whole window, or None if it does not.
+    With dual=True window mirrors a given (n, p): the reason names r, s, n, p."""
+    p, n, width, depth = ("n", "p", "r", "s") if dual else ("p", "n", "m", "l")
     if window.p < m:
-        return f"p = {window.p} < m = {m}"
+        return f"{p} = {window.p} < {width} = {m}"
     if window.n < m * (l - 1):
-        return f"n = {window.n} < m*(l-1) = {m * (l - 1)}"
+        return f"{n} = {window.n} < {width}*({depth}-1) = {m * (l - 1)}"
     return None
 
 
 def pullback_dual(spec: FormSpec, window: Window) -> WedgePolynomial:
     """Star-side equation rewritten in the coordinates of this window.
 
-    Each mirror coordinate x'_K equals sgn(I, I^c) x_I, where I^c is the
-    negation of K and I its complement, so substituting factor by factor
-    turns a form on the mirror window into one of full grade here.  The
-    substitution is one-to-one on coordinates, so no two monomials merge.
+    The star is an involution, so if star(e_K) = s e_J, the mirror coordinate
+    x'_K of star(v) is s x_J(v).  Substituting factor by factor turns a form
+    on the mirror window (p, n) into one of full grade here.  The substitution
+    is one-to-one on coordinates, so no two monomials merge.
     """
-    universe = window.elements()
-    terms = []
+    mirror = Window(window.p, window.n)
+    terms = {}
     for mono, coeff in hpf_polynomial(spec).terms.items():
-        factors = []
-        for key in mono:
-            absent = {-x for x in key}
-            image = tuple(x for x in universe if x not in absent)
-            coeff = coeff * _star_sign(window, image)
-            factors.append(image)
-        terms.append((factors, coeff))
-    label = "dual(" + spec.label[4:]
-    return WedgePolynomial(window.p, terms, window, label)
+        signs, images = zip(*(_star_key(mirror, key) for key in mono))
+        terms[tuple(sorted(images))] = coeff * math.prod(signs)
+    return WedgePolynomial._trusted(window.p, terms, window, "dual(" + spec.label[4:])
 
 
 def component_equations(
@@ -386,7 +382,7 @@ def component_equations(
     even_width(width, m)
     plain_int(depth, l)
     side = Window(window.p, window.n) if dual else window
-    reason = trivial_region(m, l, side)
+    reason = trivial_region(m, l, side, dual)
     if reason is not None:
         return reason, iter(())
     specs = component_form_specs(m, l, side)

@@ -32,10 +32,10 @@ _plucker_violation) read the stored table; label tuples and Fractions are
 decoded only at the public boundary: terms, coeff, support, str, the file
 formats and certificates.  This module alone maps labels to bits and back:
 _mask encodes a key, _encode and _decode a table, _coordinates reads a
-table at label keys for the form and polynomial evaluators, and _star_sign
-gives the star's sign of a key.  A matrix is stored the same way, as int
-rows over one denominator, and every rank and determinant, a two-form's
-included, is one fraction-free Bareiss pass in ints: _rank_det.
+table at label keys for the form and polynomial evaluators, and _star_key
+gives hodge_star's sign and image key for one key.  A matrix is stored the
+same way, as int rows over one denominator, and every rank and determinant,
+a two-form's included, is one fraction-free Bareiss pass in ints: _rank_det.
 """
 from __future__ import annotations
 
@@ -490,9 +490,10 @@ def _star(mask: int, size: int) -> tuple[int, int]:
     return -1 if (_below(mask) & rest).bit_count() & 1 else 1, image
 
 
-def _star_sign(window: Window, key: IndexSet) -> int:
-    """sgn(I, I^c) for an in-window key I."""
-    return _star(_mask(window, key), window.size)[0]
+def _star_key(window: Window, key: IndexSet) -> tuple[int, IndexSet]:
+    """The star's sign on an in-window key I, and the image key in (p, n)."""
+    sign, image = _star(_mask(window, key), window.size)
+    return sign, _labels(Window(window.p, window.n), image)
 
 
 def hodge_star(v: Multivector) -> Multivector:

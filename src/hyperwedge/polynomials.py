@@ -31,15 +31,10 @@ from .multivector import (
 Monomial = tuple[IndexSet, ...]
 
 
-def monomial(factors: Iterable[Iterable[int]]) -> Monomial:
-    """Canonical product key: validated factors in sorted multiset order."""
-    return _monomial(factors, None, None)
-
-
 def _monomial(
     factors: Iterable[Iterable[int]], window: Optional[Window], grade: Optional[int]
 ) -> Monomial:
-    """monomial, each factor also held to the window and grade by ascending_key."""
+    """Canonical product key: each factor held to window and grade, in sorted order."""
     return tuple(sorted(ascending_key(f, window, grade) for f in factors))
 
 

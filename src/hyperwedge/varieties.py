@@ -176,14 +176,19 @@ def in_hpf_component(m: int, l: int, v: Multivector) -> MembershipReport:
     >>> in_hpf_component(2, 2, low).certificate
     {'kind': 'all_forms_vanish', 'count': 1}
     """
-    plain_int("m", m)
-    plain_int("l", l)
+    return _component(m, l, v)
+
+
+def _component(m: int, l: int, v: Multivector, dual: bool = False) -> MembershipReport:
+    """in_hpf_component; dual=True marks a star image, named as trivial_region does."""
+    plain_int("r" if dual else "m", m)
+    plain_int("s" if dual else "l", l)
     w = v.window
     if v.grade != w.p:
         raise DimensionMismatch(
             f"component test wants grade {w.p} in {w}, argument has {v.grade}"
         )
-    reason = trivial_region(m, l, w)
+    reason = trivial_region(m, l, w, dual)
     if reason is not None:
         return MembershipReport(True, {"kind": "trivial_region", "reason": reason})
     tails = list(combinations(w.elements(), w.p - m))
@@ -226,7 +231,7 @@ def in_dual_hpf(r: int, s: int, v: Multivector) -> MembershipReport:
 def in_two_sided(m: int, l: int, r: int, s: int, v: Multivector) -> MembershipReport:
     """Component test on v and on its star image, both reported."""
     primal = in_hpf_component(m, l, v)
-    dual = in_hpf_component(r, s, hodge_star(v))
+    dual = _component(r, s, hodge_star(v), dual=True)
     certificate = {
         "kind": "two_sided",
         "primal": primal.certificate,

@@ -255,7 +255,7 @@ def test_ideal_dual_trivial_side(capsys):
     )
     assert rc == 0
     assert doc["dual_trivial"] is True
-    assert "p" in doc["dual_reason"]
+    assert doc["dual_reason"] == "n = 2 < r = 4"
     assert doc["count"] == 1
     assert doc["equations"][0]["label"].startswith("hpf(2,2)@")
 
@@ -346,6 +346,15 @@ def test_member_two_sided(tmp_path, capsys):
     assert cert["kind"] == "two_sided"
     assert cert["primal"]["kind"] == "trivial_region"
     assert Fraction(cert["dual"]["value"]) == 1
+
+
+def test_member_two_sided_dual_reason_names_r(tmp_path, capsys):
+    # the dual side is the (r, s) component of the star image, in window (p, n)
+    src = save(tmp_path / "v.json", basis(Window(0, 0)))
+    rc, doc = run_member(capsys, "--form", "4", "2", "--dual", "2", "1", src)
+    assert rc == 0
+    assert doc["certificate"]["primal"]["reason"] == "p = 0 < m = 4"
+    assert doc["certificate"]["dual"]["reason"] == "n = 0 < r = 2"
 
 
 def test_member_dual_alone(tmp_path, capsys):
@@ -645,6 +654,10 @@ GOLDEN_STDOUT_SHA256 = {
         "e92ab3d9d1d3cfb9317a320e88c6f560f86c6f2949eeb94c9554802467f52d03",
     ("ideal", "--form", "2", "2", "--window", "3", "3", "--dual", "2", "2"):
         "adcdecc09000eab143793a3b6356f8398c8690fbb6b49f0512a7c47597cc1f9c",
+    ("ideal", "--form", "4", "2", "--window", "4", "4", "--dual", "2", "2"):
+        "fa87dee9b4b032cf64f8d70b81c190dc65ec307ea3db109c982f0a25e112cde2",
+    ("ideal", "--form", "2", "2", "--window", "5", "3", "--dual", "2", "2"):
+        "7212ed1069bf0e367a7db57e73ee84e0ebccdfd1b54417c3f27bcba8cced4d87",
 }
 
 

@@ -14,6 +14,7 @@ from hyperwedge.forms import (
     hpf_multilinear,
     hpf_polynomial,
     plucker_relation,
+    pullback_dual,
     wedge_via_hpf,
 )
 from hyperwedge.indices import DimensionMismatch, Window
@@ -117,6 +118,16 @@ def test_term_counts_match_partition_counts():
         spec = FormSpec(m, l, tuple(range(1, m * l + 1)))
         expected = factorial(m * l) // (factorial(m) ** l * factorial(l))
         assert len(hpf_polynomial(spec).terms) == expected
+
+
+def test_built_forms_are_canonical():
+    # hpf_polynomial and pullback_dual adopt their terms unchecked, so the
+    # checking constructor must find nothing to reorder, merge or refuse
+    for window in (Window(2, 3), Window(3, 3), Window(4, 2)):
+        for spec in component_form_specs(2, 2, Window(window.p, window.n)):
+            for poly in (hpf_polynomial(spec), pullback_dual(spec, window)):
+                checked = WedgePolynomial(poly.grade, poly.terms, poly.window, poly.label)
+                assert poly._terms == checked._terms
 
 
 def test_eval_agrees_with_polynomial_evaluation():

@@ -10,7 +10,7 @@ from hyperwedge.indices import DimensionMismatch, Window, enumerate_partitions
 from hyperwedge.multivector import FormatError, Multivector, wedge
 from hyperwedge.polynomials import (
     WedgePolynomial,
-    monomial,
+    _monomial,
     poly_add,
     poly_equal,
     poly_eval,
@@ -57,7 +57,7 @@ def test_variable_and_monomial_canonicalization():
     p = var(1, 2)
     assert p.grade == 2
     assert p.coeff([(1, 2)]) == 1
-    assert monomial([(3, 4), (1, 2)]) == ((1, 2), (3, 4))
+    assert _monomial([(3, 4), (1, 2)], None, None) == ((1, 2), (3, 4))
     a = WedgePolynomial(2, {((3, 4), (1, 2)): 5})
     b = WedgePolynomial(2, {((1, 2), (3, 4)): 5})
     assert a == b

@@ -464,6 +464,17 @@ def test_two_sided_conjunction():
     assert both_trivial.certificate["dual"]["kind"] == "trivial_region"
 
 
+def test_two_sided_dual_side_names_r_and_s():
+    report = in_two_sided(2, 2, 2, 3, basis(Window(3, 2), 1, 2))
+    assert report.certificate["dual"] == {
+        "kind": "trivial_region", "reason": "p = 2 < r*(s-1) = 4"}
+    v = basis(Window(2, 2), 1, 2)
+    with pytest.raises(ValueError, match=r"^r must be a positive integer, got 0$"):
+        in_two_sided(2, 2, 0, 2, v)
+    with pytest.raises(ValueError, match=r"^s must be a positive integer, got 0$"):
+        in_two_sided(2, 2, 2, 0, v)
+
+
 # ------------------------------------------------------------ nilpotency
 
 def test_nilpotency_degrees():

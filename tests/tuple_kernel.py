@@ -190,9 +190,13 @@ def pf_contraction_witness(v):
     return None
 
 
-def in_hpf_component(m, l, v):
-    """Every relative form in turn, member sets outer and tails inner."""
-    reason = trivial_region(m, l, v.window)
+def in_hpf_component(m, l, v, dual=False):
+    """Every relative form in turn, member sets outer and tails inner.
+
+    dual=True marks a star image: its trivial-region reason names r, s and
+    the sides of the window starred.
+    """
+    reason = trivial_region(m, l, v.window, dual)
     if reason is not None:
         return MembershipReport(True, {"kind": "trivial_region", "reason": reason})
     count = 0
@@ -208,7 +212,7 @@ def in_hpf_component(m, l, v):
 
 def in_two_sided(m, l, r, s, v):
     primal = in_hpf_component(m, l, v)
-    dual = in_hpf_component(r, s, hodge_star(v))
+    dual = in_hpf_component(r, s, hodge_star(v), dual=True)
     certificate = {"kind": "two_sided", "primal": primal.certificate, "dual": dual.certificate}
     return MembershipReport(primal.member and dual.member, certificate)
 
