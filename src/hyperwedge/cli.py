@@ -34,6 +34,8 @@ from .multivector import (
 )
 from .polynomials import WedgePolynomial, poly_to_obj
 from .varieties import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     TypeSpec,
     VarietySpec,
     check_membership,
@@ -44,10 +46,6 @@ from .varieties import (
     pf_contraction_witness,
     type_witness,
 )
-
-DEFAULT_TRIALS = 64
-DEFAULT_SEED = 1729
-
 
 # ------------------------------------------------------------------ helpers
 
@@ -146,15 +144,14 @@ def cmd_member(args) -> int:
             "pick one locus: --gr, --pf L, --form M L, --dual R S, "
             "--form M L --dual R S, or --form M L --max-bound"
         )
-    if not args.max_bound and (args.trials, args.seed) != (None, None):
+    draws = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
+    if draws and not args.max_bound:
         raise ValueError("--trials and --seed need --max-bound")
     v = _load_multivector(args.source)
     spec = _MEMBER_LOCI[given](args)
     if args.max_bound:
         spec_text = f"maxbound({spec.m},{spec.l})"
-        trials = DEFAULT_TRIALS if args.trials is None else args.trials
-        seed = DEFAULT_SEED if args.seed is None else args.seed
-        report = contraction_membership(spec.m, spec.l, v, trials=trials, seed=seed)
+        report = contraction_membership(spec.m, spec.l, v, **draws)
     else:
         spec_text = spec.describe()
         report = check_membership(spec, v)
@@ -221,8 +218,9 @@ def _demo_gr24(check, say):
 
 
 def _demo_lift42(check, say):
-    say(f"seed: {DEFAULT_SEED}")
-    rng = random.Random(DEFAULT_SEED)
+    seed = 1729
+    say(f"seed: {seed}")
+    rng = random.Random(seed)
     w = Window(4, 3)
     inside = 0
     returned = 0

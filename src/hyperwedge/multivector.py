@@ -19,20 +19,21 @@ Conventions that fix every sign in the package:
   negated complement, taken in the mirrored window (p, n), with no further
   normalization.
 
-A coordinate table has one stored form, the bitmap representation of basis
+A coordinate table, a multivector's terms or a covector's entries (a
+grade-1 table), has one stored form, the bitmap representation of basis
 blades (Dorst, Fontijne and Mann, Geometric Algebra for Computer Science,
 ch. 19): label i of window.elements() is bit N-1-i, and the table is
 {mask: int} over one positive denominator.  It is canonical: the gcd of the
 denominator and every numerator is 1, and zero is {} over 1, so equal values
 have equal fields and Frozen equality, pickling and copying compare values.
 Among keys of one grade, lexicographic order of label tuples is descending
-int order of masks, so max(table) is the lowest key.  Products, the star,
-the transitions and the locus entry points (_lowest_power_term,
-_plucker_violation) read the stored table; label tuples and Fractions are
-decoded only at the public boundary: terms, coeff, support, str, the file
-formats and certificates.  This module alone maps labels to bits and back:
-_mask encodes a key, _encode and _decode a table, _coordinates reads a
-table at label keys for the form and polynomial evaluators, and _star_key
+int order of masks, so max(table) is the lowest key.  Products, contraction,
+the star, the transitions and the locus entry points (_lowest_power_term,
+_plucker_violation) read the stored tables; label tuples and Fractions are
+decoded only at the public boundary: terms, coeff, items, support, str, the
+file formats and certificates.  This module alone maps labels to bits and
+back: _mask encodes a key, _encode and _decode a table, _coordinates reads
+a table at label keys for the form and polynomial evaluators, and _star_key
 gives hodge_star's sign and image key for one key.  A matrix is stored the
 same way, as int rows over one denominator, and every rank and determinant,
 a two-form's included, is one fraction-free Bareiss pass in ints: _rank_det.
@@ -170,18 +171,17 @@ class Multivector(Frozen):
 
 
 class Covector(Frozen):
-    """Finite functional f = sum of f_i e^i over the window labels."""
+    """Finite functional f = sum of f_i e^i over the window labels.
 
-    __slots__ = ("window", "_coeffs")
+    It is stored as the canonical grade-1 table (_table, _den) of the module
+    docstring, one bit per label, which contract reads as it is.
+    """
+
+    __slots__ = ("window", "_table", "_den")
 
     def __init__(self, window: Window, coeffs: Mapping[int, Fraction]):
-        store = {}
-        for label, value in coeffs.items():
-            ascending_key((label,), window)
-            c = exact(value)
-            if c:
-                store[label] = c
-        self._fill(window, store)
+        table, den = _encode(window, 1, {(label,): c for label, c in coeffs.items()})
+        self._fill(window, {bit: c for bit, c in table.items() if c}, den)
 
     @classmethod
     def dual_basis(cls, window: Window, label: int) -> "Covector":
@@ -189,10 +189,11 @@ class Covector(Frozen):
 
     def coeff(self, label: int) -> Fraction:
         ascending_key((label,), self.window)
-        return self._coeffs.get(label, Fraction(0))
+        return Fraction(self._table.get(_frame(self.window)[label], 0), self._den)
 
     def items(self):
-        return tuple(sorted(self._coeffs.items()))
+        bits, table = _frame(self.window), self._table
+        return tuple((x, Fraction(table[b], self._den)) for x, b in bits.items() if b in table)
 
     def __repr__(self):
         body = " + ".join(f"{c}*e^({i})" for i, c in self.items()) or "0"
@@ -402,8 +403,7 @@ def contract(f: Covector, v: Multivector) -> Multivector:
         raise DimensionMismatch("covector and multivector windows differ")
     if v.grade == 0:
         raise DimensionMismatch("cannot contract a grade-0 element")
-    weights, df = _encode(v.window, 1, {(x,): c for x, c in f._coeffs.items()})
-    return _make(v.window, v.grade - 1, _contract_masks(weights, v._table), df * v._den)
+    return _make(v.window, v.grade - 1, _contract_masks(f._table, v._table), f._den * v._den)
 
 
 # ------------------------------------------------------------------ locus entry points

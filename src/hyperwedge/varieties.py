@@ -27,6 +27,7 @@ from .multivector import (
 )
 
 _ENTRY_BOUND = 2**19
+DEFAULT_TRIALS, DEFAULT_SEED = 64, 1729  # contraction_membership's, and so member --max-bound's
 _WITNESS_TERMS, _WITNESS_BOUND = 4, 9  # terms per witness factor, |coefficient| cap
 
 
@@ -155,7 +156,7 @@ def in_hpf(m: int, l: int, v: Multivector) -> MembershipReport:
     _, _, key, coeff = lowest
     cert = {
         "kind": "violated_form",
-        "label": FormSpec(m, l, key).label,
+        "label": FormSpec._trusted(m, l, key, ()).label,
         "value": str(coeff / math.factorial(l)),
         "power": l,
         "power_coordinate": list(key),
@@ -198,7 +199,7 @@ def _component(m: int, l: int, v: Multivector, dual: bool = False) -> Membership
         count = len(tails) * math.comb(w.size - w.p + m, m * l)
         return MembershipReport(True, {"kind": "all_forms_vanish", "count": count})
     index, _, key, coeff = lowest
-    label = FormSpec(m, l, key, tails[index]).label
+    label = FormSpec._trusted(m, l, key, tails[index]).label  # no tail bit is left in key
     value = (-1) ** sum(t < k for t in tails[index] for k in key) * coeff / math.factorial(l)
     return MembershipReport(False, {"kind": "violated_form", "label": label, "value": str(value)})
 
@@ -329,7 +330,7 @@ def odd_partition_check(
 
 
 def contraction_membership(
-    m: int, l: int, v: Multivector, trials: int = 64, seed: int = 0
+    m: int, l: int, v: Multivector, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
 ) -> MembershipReport:
     """Randomized necessary test through repeated contraction.
 
@@ -337,10 +338,8 @@ def contraction_membership(
     integer entries in the half-open range [-2**19, 2**19), then checks the
     l-th power of the result.  Passing every trial is strong evidence, not
     proof; a failing trial is an exact refutation and is returned with the
-    covectors that produced it.  The default seed here is 0, while the CLI's
-    `member --max-bound` defaults to 1729; pass the seed that `member`
-    prints to reproduce its certificate.  Any positive m is accepted here;
-    the CLI takes only even m.
+    covectors that produced it.  Any positive m is accepted here; the CLI
+    takes only even m.
     """
     plain_int("m", m)
     plain_int("l", l)

@@ -25,6 +25,7 @@ from hyperwedge.multivector import (
     wedge,
 )
 from hyperwedge.polynomials import poly_eval, poly_from_obj, poly_to_obj
+from hyperwedge.varieties import contraction_membership
 
 from conftest import random_decomposable, random_multivector
 
@@ -395,6 +396,19 @@ def test_member_max_bound_passes_u(tmp_path, capsys):
     assert doc["certificate"]["kind"] == "trials_passed"
     assert doc["trials"] == 64
     assert doc["seed"] == 1729
+
+
+def test_member_max_bound_defaults_are_the_library_defaults(tmp_path, capsys):
+    # member passes --trials and --seed only when given, so without them it
+    # prints the report contraction_membership gives with its own defaults
+    t, _ = trivector_t()
+    src = save(tmp_path / "t.json", t)
+    rc, doc = run_member(capsys, "--max-bound", "--form", "2", "3", src)
+    report = contraction_membership(2, 3, t)
+    assert rc == 1 and not report.member
+    assert (doc["trials"], doc["seed"], doc["certificate"]) == (
+        report.trials, report.seed, report.certificate
+    )
 
 
 def test_member_flag_validation(tmp_path, capsys):

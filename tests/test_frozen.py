@@ -97,3 +97,22 @@ def test_equal_values_reached_by_different_routes_are_equal():
         assert reached.terms == direct.terms and str(reached) == str(direct)
         for clone in round_trips(reached):
             assert clone == direct
+    w = Window(2, 3)
+    for reached, direct in [
+        (Covector(w, {1: Fraction(2, 4), 2: 0}), Covector(w, {1: half})),
+        (Covector(w, {1: 0}), Covector(w, {})),
+    ]:
+        assert reached == direct
+        assert reached.items() == direct.items() and repr(reached) == repr(direct)
+    pq = Covector(w, {3: 7, -2: Fraction(2, 3), 1: Fraction(-5, 4)})
+    for clone in round_trips(pq):
+        assert clone == pq and clone.items() == pq.items() and repr(clone) == repr(pq)
+
+
+def test_a_covector_stores_the_grade_one_table():
+    # the state a covector pickles is the canonical table of the grade-1
+    # multivector with the same entries, which contract reads as it is
+    w = Window(2, 3)
+    entries = {3: 7, -2: Fraction(2, 3), 1: Fraction(-5, 4), -1: 0}
+    line = Multivector(w, 1, {(x,): c for x, c in entries.items()})
+    assert Covector(w, entries).__reduce__()[1] == (w, *line.__reduce__()[1][2:])

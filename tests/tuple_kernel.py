@@ -155,7 +155,7 @@ def in_dual_hpf(r, s, v):
     })
 
 
-def contraction_membership(m, l, v, trials=64, seed=0):
+def contraction_membership(m, l, v, trials=64, seed=1729):
     """Each trial on Covector and Multivector objects, Fractions throughout."""
     w = v.window
     rng = random.Random(seed)
