@@ -12,7 +12,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .forms import FormSpec, component_equations, hpf_eval, hpf_polynomial
 from .indices import DimensionMismatch, Window
@@ -50,7 +49,11 @@ from .varieties import (
 # ------------------------------------------------------------------ helpers
 
 def _load_multivector(source: str) -> Multivector:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text()
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source) as handle:
+            text = handle.read()
     try:
         obj = json.loads(text)
     except RecursionError:
@@ -60,7 +63,8 @@ def _load_multivector(source: str) -> Multivector:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
     else:
         print(text)
 

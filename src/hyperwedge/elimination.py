@@ -13,37 +13,38 @@ indices, the unique value forcing the carrier form to vanish is -Q/D.
 Since I sits at the bottom of the carrier, the collected sign on x_I * D
 is +1; the splitting is verified symbolically in the test suite.
 
-Q is read by the head expansion of the forms module: its rows, grouped by
-their blocks through the head (the first m labels of I), sum to those
-blocks' product times the form on the extra labels R they leave, with the
-tail (the rest of I) in every block: a form of D's kind.  Keys are spliced,
-not sorted (head labels, tail, extra labels), as the extras lie above I.
-A known-zero factor silences its monomial even beside an unknown one, so
-an unknown head block blocks its group only if a row of the remainder has
-no known zero; a carrier whose forms need an unknown forces nothing (None).
+Q is read by the pivot expansion of the forms module along the target's
+lowest label (Knuth, "Overlapping Pfaffians"): Q = sum of sign * x_(B+tail)
+* G_B over the m-blocks B of head + extra through that label, the head (the
+first m labels of I) excepted, with G_B the degree-l form on the labels B
+leaves, the tail (the rest of I) in every block: a form of D's kind.  A
+known-zero factor silences its monomial even beside an unknown one, so an
+unknown block blocks its term only if a row of G_B has no known zero; a
+carrier whose forms need an unknown forces nothing (None).  At odd m the
+carrier form has no rows, and Q = 0.
 
 None of that structure depends on a value, only on the shape (window, m,
 l), so _plan compiles it once per shape and every pass over the shape
 shares it.  A key's id is its place in the window's diagram order
 (_key_order), so a pass holds its table as a list by key id, None for
-unknown, and its targets are the unknown ids in order.  Every form on
-extra labels, a denominator or a remainder, gets a form id; its data are
-the key ids of its distinct blocks, read by _row_plan's rows.  A carrier
-is compiled the first time a pass tries it, into its denominator's form
-id and its head blocks' key ids, appended to its target's flat array.  A
-denominator's remainder form ids, one per _head_plan group, are compiled
-once, the first time it does not vanish: most carriers of a stalled point
-fail on their denominator.  Signs and factor getters stay in _head_plan.
-An attempt is then list indexing and multiplication, with no tuple built
-or hashed.  Sharing is sound because a plan holds no value: carriers are
-compiled in _carriers order and only as far as a pass has tried them, so
-a cold and a warm plan give the same attempts and results.  A plan keeps
-a few ints per carrier tried and per form those name: 0.2 MB over the
-seven shapes of the benchmark's recover deck, 0.4 MB where stalled points
-try every carrier (tracemalloc, CPython 3.11).  The last 32 shapes are
-kept.
+unknown, and its targets are the unknown ids in order.  Every form, a
+denominator or a G_B, gets a form id; its data are the key ids of its
+distinct blocks, read by _row_plan's rows.  A carrier is compiled the first
+time a pass tries it, into its denominator's form id, appended to its
+target's flat array.  Its expansion, a key id and a form id per term of the
+shape's one _pivot_plan template, is compiled the first time its
+denominator does not vanish: most carriers of a stalled point fail on their
+denominator.  An attempt is then list indexing and multiplication, with no
+tuple built or hashed.  Sharing is sound because a plan holds no value:
+carriers are compiled in _carriers order and only as far as a pass has
+tried them, so a cold and a warm plan give the same attempts and results.
+A plan keeps a few ints per carrier tried and per form those name: 0.2 MB
+over the seven shapes of the benchmark's recover deck at one seed, 0.3 MB
+over the decks of ten seeds (tracemalloc, CPython 3.11).  The last 32
+shapes are kept.
 
-A pass reads each form once: settled keeps its value by form id, zero
+A pass reads each form once, so carriers that share a G_B or a
+denominator share its reading: settled keeps its value by form id, zero
 included.  That is sound because known values are never overwritten: an
 evaluated form has no monomial with an unknown factor that a known zero
 does not silence, so no later value changes it.  A form that needed
@@ -77,7 +78,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .forms import _head_plan, _row_plan, _row_sum
+from .forms import _getter, _pivot_plan, _row_plan, _row_sum, _splice
 from .indices import (
     DimensionMismatch,
     Frozen,
@@ -193,28 +194,27 @@ def _forced(plan, table, carriers, at: int, settled: dict, blocked: dict):
     denominator = _read(plan, table, carriers[at], settled, blocked)
     if not denominator:
         return None
-    values = [table[key] for key in carriers[at + 1:at + plan.width]]
-    start = plan.remainders_at[carriers[at]]
+    start = carriers[at + 1]
     if start < 0:
-        start = plan.remainders(carriers[at])
-    remainders = plan.remainder_forms[start:start + plan.stride]
+        start = plan.expand(carriers, at)
+    entries = iter(plan.expansions[start:start + 2 * len(plan.signs)])
     numerator = 0
-    for (factors, _, sign), form in zip(plan.head[1], remainders):
-        factors = factors(values)
-        if 0 in factors:
+    for sign, key, form in zip(plan.signs, entries, entries):
+        factor = table[key]
+        if factor == 0:
             continue
-        remainder = settled.get(form)
-        if remainder is None:
-            remainder = _read(plan, table, form, settled, blocked)
-        if None in factors:
-            # each monomial needs the unknown head block unless a known zero silences it
-            zeros = [0 if table[key] == 0 else None for key in plan.forms[form]]
-            if remainder != 0 or _row_sum(plan.rows[form], zeros) is None:
+        cofactor = settled.get(form)
+        if cofactor is None:
+            cofactor = _read(plan, table, form, settled, blocked)
+        if factor is None:
+            # each monomial needs the unknown block unless a known zero silences it
+            zeros = [0 if table[k] == 0 else None for k in plan.forms[form]]
+            if cofactor != 0 or _row_sum(plan.rows[form], zeros) is None:
                 return None
-        elif remainder is None:
+        elif cofactor is None:
             return None
         else:
-            numerator += math.prod(factors, start=sign * remainder)
+            numerator += sign * factor * cofactor
     quotient, residue = divmod(-numerator, denominator)
     return Fraction(-numerator, denominator) if residue else quotient
 
@@ -256,67 +256,71 @@ class _Plan:
     """The compiled recovery structure of one shape (window, m, l); it holds no value.
 
     keys, ids and slots (the id of each key's mask) come from _key_order.
-    A form on extra labels, tail in every block, is named by the mask of
-    tail + extra, as its tail is the lowest len(tail) labels there; form_of
-    finds its id, and forms and rows hold by id its blocks' key ids and its
-    _row_plan rows.  A denominator's
-    remainders, one per group of head[1], are compiled the first time it
-    does not vanish: their form ids sit stride long in remainder_forms from
-    remainders_at[its id] on, which is -1 before.  carriers holds, per
-    target key id, the compiled carriers in _carriers order, width apart:
-    each is its denominator's form id, then the key ids of its head blocks
-    (head[0]).  Compiling takes the lock, so passes in several threads may
-    share a plan.
+    A form is named by the masks of its members and of its tail, which
+    joins every block; form_of finds its id, and forms and rows hold by id
+    its blocks' key ids and its _row_plan rows.  carriers holds, per target
+    key id, the compiled carriers in _carriers order, width apart: each is
+    its denominator's form id, then where its expansion starts in
+    expansions, or ~(target id) until that is compiled, the first time the
+    denominator does not vanish.  An expansion is, per term of pivot, its
+    block's key id and its sub-form's id; signs holds the terms' signs.
+    Compiling takes the lock, so passes in several threads may share a plan.
     """
 
-    __slots__ = ("window", "m", "gap", "room", "keys", "ids", "slots", "above", "head", "width",
-                 "stride", "form_of", "forms", "rows", "remainders_at", "remainder_forms",
-                 "carriers", "lock")
+    __slots__ = ("window", "m", "gap", "room", "keys", "ids", "slots", "above", "pivot", "signs",
+                 "form_of", "forms", "rows", "expansions", "carriers", "lock")
+    width = 2
 
     def __init__(self, window: Window, m: int, l: int):
         self.window, self.m, self.gap, self.room = window, m, window.p - m, m * l
         self.keys, self.ids, self.slots = _key_order(window)
         labels = window.elements()
         self.above = {x: labels[k + 1:] for k, x in enumerate(labels)}
-        self.head = _head_plan(m + self.room, m, self.gap)
-        self.width, self.stride = 1 + len(self.head[0]), len(self.head[1])
+        # the carrier form along the target's lowest label, less the x_I * D term
+        template = _pivot_plan(m + self.room, m, 1)[1:]
+        self.pivot = [(_splice(block, m, self.gap), _getter([q - 1 for q in rest]))
+                      for block, rest, _ in template]
+        self.signs = [sign for _, _, sign in template]
         self.form_of, self.forms, self.rows = {}, [], []
-        self.remainders_at, self.remainder_forms = array("i"), array("i")
+        self.expansions = array("i")
         self.carriers = [array("i") for _ in self.keys]
         self.lock = allocate_lock()
 
-    def form(self, tail, extra) -> int:
-        """The id of the width-m form on extra, tail in every block; compiled on first use."""
-        labels = tail + extra
-        name = _mask(self.window, labels)
+    def form(self, tail, members) -> int:
+        """The id of the width-m form on members, tail in every block; compiled on first use."""
+        window, slots = self.window, self.slots
+        name = _mask(window, members) << window.size | _mask(window, tail)
         form = self.form_of.get(name)
         if form is None:
-            getters, rows = _row_plan(len(extra), self.m, len(tail))
+            getters, rows = _row_plan(len(members), self.m, len(tail))
+            labels = tail + members
             form = self.form_of[name] = len(self.forms)
-            self.forms.append(array("i", [self.ids[get(labels)] for get in getters]))
+            self.forms.append(array("i", [slots[_mask(window, get(labels))] for get in getters]))
             self.rows.append(rows)
-            self.remainders_at.append(-1)
         return form
 
-    def remainders(self, denominator: int) -> int:
-        """Where the remainder form ids of a denominator start; compiled on first use."""
+    def expand(self, carriers, at: int) -> int:
+        """Where the expansion of the carrier at carriers[at:] starts; compiled on first use."""
         with self.lock:
-            if self.remainders_at[denominator] < 0:
-                # each label of a form with rows is in a block; the tail is the lowest
-                labels = sorted({x for key in self.forms[denominator] for x in self.keys[key]})
-                tail, extra = tuple(labels[:self.gap]), tuple(labels[self.gap:])
-                forms = [self.form(tail, rest(extra)) for _, rest, _ in self.head[1]]
-                start = len(self.remainder_forms)
-                # readers skip the lock: publish the offset after the ids
-                self.remainder_forms.extend(forms)
-                self.remainders_at[denominator] = start
-            return self.remainders_at[denominator]
+            if carriers[at + 1] < 0:
+                target = self.keys[~carriers[at + 1]]
+                head, tail = target[:self.m], target[self.m:]
+                # each label of a denominator that does not vanish is in a block
+                blocks = self.forms[carriers[at]]
+                extra = tuple(sorted({x for key in blocks for x in self.keys[key]}.difference(tail)))
+                spliced, members = head + tail + extra, head + extra
+                entries = []
+                for block, rest in self.pivot:
+                    entries += self.ids[block(spliced)], self.form(tail, rest(members))
+                # readers skip the lock: publish the offset after the entries
+                start = len(self.expansions)
+                self.expansions.extend(entries)
+                carriers[at + 1] = start
+            return carriers[at + 1]
 
     def compile(self, target, extra) -> list:
-        """The carrier target + extra: its denominator's form id, then the head blocks' key ids."""
-        labels = target + extra
-        heads = [self.ids[get(labels)] for get in self.head[0]]
-        return [self.form(target[self.m:], extra), *heads]
+        """The carrier target + extra: its denominator's form id, then ~(target id)."""
+        return [self.form(target[self.m:], extra), ~self.ids[target]]
 
     def tried(self, target: int):
         """Offsets of the target's carriers in _carriers order, each compiled on first use."""

@@ -19,11 +19,11 @@ shuffle_sign([block, rest]), since even-width blocks commute.  The test
 suite assembles both identities symbolically against the full forms.
 
 Every partition-row sum reads one cached per-shape row plan, _row_plan:
-hpf_eval, hpf_polynomial, and each form on extra labels in recovery (a
-denominator or a remainder), whose block keys the elimination module
-compiles to key ids once per window shape.  Recovery's numerators read
-_head_plan, the same rows grouped by their blocks through the target's
-head, each group its head blocks' product times a remainder form; only
+hpf_eval, hpf_polynomial, and each form in recovery (a denominator or a
+sub-form of a numerator), whose block keys the elimination module compiles
+to key ids once per window shape.  The pivot expansion reads one cached
+per-shape template, _pivot_plan: filtration_expansion, and recovery's
+numerators, each expanded along its target's lowest label; only
 hpf_multilinear, which survives odd widths, reads the full partition table.
 """
 from __future__ import annotations
@@ -134,37 +134,24 @@ def _row_plan(count: int, m: int, gap: int):
 
 
 @cache
-def _head_plan(count: int, m: int, gap: int):
-    """The form on head + extra, |head| = m, as groups of rows through the head.
+def _pivot_plan(count: int, m: int, pivot: int):
+    """The pivot expansion of the form on positions 1..count along position pivot.
 
-    Each row is its blocks that meet the head times a row of the same form
-    on the extra labels R those blocks leave, so the rows that share their
-    head blocks sum to sign * (product of those blocks) * form(R): a
-    Laplace-type expansion along the head (Knuth, "Overlapping Pfaffians").
-    Even-width blocks commute, so sign is the shuffle sign of the head
-    blocks followed by R.  Returns the distinct head blocks as key getters
-    from head + tail + extra, and per group (getter of its head-block
-    values, getter of R from extra, sign).  The rows whose one head block
-    is the whole head hold x_(head + tail) and are left out; at odd width
-    there are no groups, as _row_plan has no rows.
+    Per m-block through pivot, in lexicographic order: (block, the positions
+    it leaves, the shuffle sign of the block followed by them).  Each term
+    of the degree-(count/m) form is one block's coordinate times a term of
+    the form on the positions it leaves (Knuth, "Overlapping Pfaffians").
+    At odd width the form has no rows, as in _row_plan, and neither has this.
     """
     if m % 2 and count >= 2 * m:
-        return (), ()
-    groups = {}
-    for blocks, _ in _partition_table(count, m):
-        touching = tuple(b for b in blocks if b[0] <= m)
-        if len(touching) > 1:
-            groups[touching] = tuple(sorted(q for b in blocks if b[0] > m for q in b))
-    ids = {}
-    plan = tuple(
-        (
-            itemgetter(*(ids.setdefault(b, len(ids)) for b in touching)),
-            _getter([q - m - 1 for q in rest]),
-            shuffle_sign(touching + (rest,)),
-        )
-        for touching, rest in groups.items()
-    )
-    return tuple(_splice(block, m, gap) for block in ids), plan
+        return ()
+    positions = range(1, count + 1)
+    plan = []
+    for block in itertools.combinations(positions, m):
+        if pivot in block:
+            rest = tuple(q for q in positions if q not in block)
+            plan.append((block, rest, shuffle_sign([block, rest])))
+    return tuple(plan)
 
 
 def _row_sum(rows, values: Sequence):
@@ -312,11 +299,9 @@ def filtration_expansion(
     if pivot not in base:
         raise ValueError(f"pivot {pivot} is not among the labels")
     out = []
-    for block in itertools.combinations(base, m):
-        if pivot not in block:
-            continue
-        rest = tuple(x for x in base if x not in block)
-        out.append((shuffle_sign([block, rest]), block, FormSpec._trusted(m, l, rest, ())))
+    for block, rest, sign in _pivot_plan(len(base), m, base.index(pivot) + 1):
+        rest = tuple(base[q - 1] for q in rest)
+        out.append((sign, tuple(base[q - 1] for q in block), FormSpec._trusted(m, l, rest, ())))
     return out
 
 

@@ -672,6 +672,15 @@ GOLDEN_STDOUT_SHA256 = {
         "fa87dee9b4b032cf64f8d70b81c190dc65ec307ea3db109c982f0a25e112cde2",
     ("ideal", "--form", "2", "2", "--window", "5", "3", "--dual", "2", "2"):
         "7212ed1069bf0e367a7db57e73ee84e0ebccdfd1b54417c3f27bcba8cced4d87",
+    # the benchmark's largest bundles, and a trivial region
+    ("ideal", "--form", "2", "2", "--window", "4", "4"):
+        "a0f44a32d26af3371ddc71cc7ed23eb4403153ca262f5823e9ef11c571b301c7",
+    ("ideal", "--form", "2", "2", "--window", "5", "3"):
+        "fba58cec54e4ae2489b38ddec1a4967018b5be5f5241e846c364945c44772cbe",
+    ("ideal", "--form", "4", "2", "--window", "4", "4"):
+        "9bf275d94cbc888e097dc2a75e7e100c1e4f768b69bde7c4f1b2da5ef54fd51f",
+    ("ideal", "--form", "2", "2", "--window", "1", "1"):
+        "cdee560897de8010cbb3f3cb59b35ab0d6dfda55b628e49e3019f7c0769b0575",
 }
 
 

@@ -13,7 +13,7 @@ import hyperwedge.elimination as elimination
 import pytest
 
 from hyperwedge.elimination import CoordinateAssignment, good_projection, reconstruct_all
-from hyperwedge.forms import FormSpec, _partition_table, hpf_polynomial
+from hyperwedge.forms import FormSpec, _partition_table, filtration_expansion, hpf_polynomial
 from hyperwedge.indices import (
     DimensionMismatch,
     GoodParams,
@@ -132,8 +132,9 @@ def test_carrier_polynomial_splits_with_a_tail():
 def compiled_carrier(m, l, window, known, target, extra):
     """The shape's plan, the known values as its table, and the carrier target + extra compiled.
 
-    A compiled carrier is its denominator's form id, then the key ids of
-    its head blocks.
+    A compiled carrier is its denominator's form id, then ~(target id):
+    _forced compiles the carrier's pivot expansion in its place, the first
+    time the denominator does not vanish.
     """
     plan = elimination._plan(window, m, l)
     table = [known.get(key) for key in plan.keys]
@@ -603,6 +604,39 @@ def test_grouped_numerator_matches_the_row_oracle():
     assert seen == {ZeroDenominator, "numerator", "denominator", "silenced", "known"}
 
 
+def compiled_form_terms(plan, form):
+    """A compiled form as hpf_polynomial's terms: each row's sorted block keys and its sign."""
+    blocks = [plan.keys[key] for key in plan.forms[form]]
+    return {tuple(sorted(factors(blocks))): Fraction(sign) for factors, _, sign in plan.rows[form]}
+
+
+def test_compiled_expansion_is_the_pivot_expansion_with_the_tail():
+    # each carrier's expansion is filtration_expansion along the target's
+    # lowest label without its x_I * D row, the tail added to every block
+    # key and sub-form
+    for m, l, gap in KERNEL_SHAPES:
+        p = m + gap
+        window = Window(m * l + 1, p)
+        labels = window.elements()
+        head, tail = labels[:m], labels[m:p]
+        plan = elimination._plan(window, m, l)
+        for extra in (labels[p:-1], labels[p + 1:]):
+            start = plan.expand(plan.compile(head + tail, extra), 0)
+            entries = plan.expansions[start:start + 2 * len(plan.signs)]
+            compiled = [
+                (sign, plan.keys[key], compiled_form_terms(plan, form))
+                for sign, key, form in zip(plan.signs, entries[::2], entries[1::2])
+            ]
+            rows = filtration_expansion(m, l, head + extra, head[0])
+            assert rows[0][:2] == (1, head)
+            expected = [
+                (sign, tuple(sorted(block + tail)),
+                 dict(hpf_polynomial(FormSpec(m, l, residual.indices, tail)).terms))
+                for sign, block, residual in rows[1:]
+            ]
+            assert compiled == expected, (m, l, gap, extra)
+
+
 def test_unknown_head_block_is_silenced_only_by_known_zeros():
     # carrier (1, 2) + (3..8), l = 3: x_(1,3) is unknown and x_(2,b) vanishes
     # for every b but 4, so only the group (1,3)(2,4) needs x_(1,3); its
@@ -945,7 +979,7 @@ def test_plan_reuse_with_tails(window):
 
 def test_plans_compile_only_the_carriers_tried(monkeypatch):
     # a cold pass compiles exactly the carriers it tries, per target, and
-    # remainders only behind a denominator that does not vanish; a cut pass
+    # expansions only behind a denominator that does not vanish; a cut pass
     # compiles a prefix of them, and a repeated pass compiles nothing
     tried = []
     forced_value = elimination._forced
@@ -973,17 +1007,29 @@ def test_plans_compile_only_the_carriers_tried(monkeypatch):
         # the repeated pass
         assert ([len(done) // plan.width for done in plan.carriers], len(plan.forms)) == compiled
         assert sum(map(len, plan.carriers)) == attempts * plan.width
-        # one plane: every denominator vanishes, so no remainder is compiled
-        assert (max(plan.remainders_at) < 0) == (planes == 1)
+        # one plane: every denominator vanishes, so no expansion is compiled
+        expanded = [start for done in plan.carriers for start in done[1::plan.width] if start >= 0]
+        assert (not expanded and not plan.expansions) == (planes == 1)
 
 
 def decoded_carriers(plan):
-    """Each target's compiled carriers as key tuples: the same whatever order compiled them."""
-    keys = plan.keys
+    """Each target's compiled carriers as key tuples: the same whatever order compiled them.
+
+    A carrier decodes to its denominator's blocks, then its expansion's
+    (block key, sub-form blocks) pairs, or None where none is compiled.
+    """
+    keys, size = plan.keys, 2 * len(plan.signs)
+
+    def expansion(start):
+        if start < 0:
+            return None
+        entries = plan.expansions[start:start + size]
+        return tuple((keys[key], tuple(keys[k] for k in plan.forms[form]))
+                     for key, form in zip(entries[::2], entries[1::2]))
+
     return [
         [
-            (tuple(keys[k] for k in plan.forms[done[at]]),
-             tuple(keys[k] for k in done[at + 1:at + plan.width]))
+            (tuple(keys[k] for k in plan.forms[done[at]]), expansion(done[at + 1]))
             for at in range(0, len(done), plan.width)
         ]
         for done in plan.carriers
@@ -1013,22 +1059,22 @@ def test_threads_share_one_plan():
     assert decoded_carriers(elimination._plan(window, 2, 2)) == compiled
 
 
-def test_remainder_offsets_are_published_after_their_ids():
-    # passes read remainders_at without the lock, so no offset may point at
-    # ids that are not stored yet
+def test_expansion_offsets_are_published_after_their_entries():
+    # passes read a carrier's expansion offset without the lock, so no
+    # offset may point at entries that are not stored yet
     cold_plans()
     window = Window(8, 2)
     plan = elimination._plan(window, 2, 2)
 
     class Checked(array):
-        def extend(self, ids):
-            assert len(self) not in plan.remainders_at
-            super().extend(ids)
+        def extend(self, entries):
+            assert all(len(self) not in done[1::plan.width] for done in plan.carriers)
+            super().extend(entries)
 
-    plan.remainder_forms = Checked("i")
+    plan.expansions = Checked("i")
     v = rank_sample(random.Random(148), window, 2)
     assert reconstruct_all(2, 2, good_projection(v, PAIR)).completed == v
-    assert plan.remainder_forms
+    assert plan.expansions
 
 
 def test_lazy_carriers_follow_the_sorted_shallow_first_order():
