@@ -159,13 +159,16 @@ def _row_sum(rows, values: Sequence):
 
     A row with a zero value adds nothing and is never multiplied out.  None
     marks an unknown value: if a row with no zero needs one, the sum is None.
+    With no zero and no unknown every row is live and none needs an unknown,
+    so such values skip the masks and sum every row.
     """
-    unknown = sum(1 << b for b, value in enumerate(values) if value is None)
-    zero = sum(1 << b for b, value in enumerate(values) if not value) ^ unknown
-    live = [row for row in rows if not row[1] & zero]
-    if unknown and any(mask & unknown for _, mask, _ in live):
-        return None
-    return sum(math.prod(factors(values), start=sign) for factors, _, sign in live)
+    if None in values or 0 in values:
+        unknown = sum(1 << b for b, value in enumerate(values) if value is None)
+        zero = sum(1 << b for b, value in enumerate(values) if not value) ^ unknown
+        rows = [row for row in rows if not row[1] & zero]
+        if unknown and any(mask & unknown for _, mask, _ in rows):
+            return None
+    return sum(math.prod(factors(values), start=sign) for factors, _, sign in rows)
 
 
 def _spec_plan(spec: FormSpec):

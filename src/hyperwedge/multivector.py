@@ -286,8 +286,20 @@ def _mask(window: Window, key: Iterable[int]) -> int:
     return sum(map(_frame(window).__getitem__, key))
 
 
+@lru_cache(maxsize=64)
+def _bit_labels(window: Window) -> tuple[int, ...]:
+    """Each bit position's label, the inverse of _frame; shared, read-only."""
+    return tuple(_frame(window))[::-1]
+
+
 def _labels(window: Window, mask: int) -> IndexSet:
-    return tuple(x for x, b in _frame(window).items() if mask & b)
+    """The mask's labels, ascending: its set bits, highest first."""
+    by_bit, labels = _bit_labels(window), []
+    while mask:
+        top = mask.bit_length() - 1
+        labels.append(by_bit[top])
+        mask ^= 1 << top
+    return tuple(labels)
 
 
 def _encode(window: Window, size: int, terms) -> tuple[dict[int, int], int]:

@@ -78,6 +78,19 @@ def test_lexicographic_order_is_descending_mask_order():
         assert [_labels(window, mask) for mask in masks] == keys
 
 
+def test_decoding_by_set_bits_matches_the_label_walk():
+    # _labels walks a mask's set bits; the reference walks every label
+    for n in range(5):
+        for p in range(5):
+            window = Window(n, p)
+            frame = _frame(window)
+            for grade in range(window.size + 1):
+                for key in combinations(window.elements(), grade):
+                    mask = sum(frame[x] for x in key)
+                    walked = tuple(x for x, b in frame.items() if mask & b)
+                    assert _labels(window, mask) == walked == key
+
+
 def test_products_match_the_tuple_kernel():
     rng = random.Random(2024)
     seen = dict.fromkeys(

@@ -2,12 +2,15 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from hyperwedge.forms import (
     FormSpec,
+    _partition_table,
+    _row_plan,
+    _row_sum,
     component_form_specs,
     filtration_expansion,
     hpf_eval,
@@ -157,6 +160,53 @@ def test_eval_agrees_with_polynomial_evaluation():
             assert value == poly_eval(poly, v)
             nonzero += value != 0
         assert nonzero > 0 or (spec.m % 2 and spec.l >= 2)
+
+
+def _brute_row_sum(count, m, gap, values):
+    """The partition table's signed products, one value per block key; None iff
+    a row with no zero factor needs an unknown value."""
+    keys, _ = _row_plan(count, m, gap)
+    tail = tuple(f"t{i}" for i in range(gap))
+    labels = tail + tuple(range(1, count + 1))
+    value = {tuple(key(labels)): v for key, v in zip(keys, values)}
+    total, needs_unknown = 0, False
+    for blocks, sign in _partition_table(count, m):
+        factors = [value[tail + block] for block in blocks]
+        if 0 in factors:
+            continue
+        if None in factors:
+            needs_unknown = True
+        else:
+            total += sign * prod(factors)
+    return None if needs_unknown else total
+
+
+@pytest.mark.parametrize("count, m, gap", [(6, 2, 0), (8, 2, 0), (6, 2, 1), (8, 2, 2)])
+def test_row_sum_matches_the_partition_table(count, m, gap):
+    # the shapes recovery and hpf_eval read; all-known-nonzero values take
+    # _row_sum's fast path, the rest its masked route
+    rng = random.Random(count * 100 + gap)
+    keys, rows = _row_plan(count, m, gap)
+
+    def pick(kinds):
+        kind = rng.choice(kinds)
+        if kind == "int":
+            return rng.choice([-3, -2, -1, 1, 2, 5])
+        if kind == "fraction":
+            return Fraction(rng.choice([-7, -1, 1, 7]), rng.randint(2, 5))
+        return kind
+
+    mixes = (("int", "fraction"), ("int", "fraction", 0), ("int", "fraction", None),
+             ("int", "fraction", 0, None), (0, 0, 0, 0, 0, None, "int"))
+    outcomes = set()
+    for trial in range(200):
+        values = [pick(mixes[trial % len(mixes)]) for _ in keys]
+        expected = _brute_row_sum(count, m, gap, values)
+        got = _row_sum(rows, values)
+        assert got == expected and type(got) is type(expected), values
+        outcomes.add((None in values, 0 in values, expected is None))
+    # fast path, zeros only, unknowns that block and unknowns silenced by zeros
+    assert {(False, False, False), (False, True, False), (True, False, True), (True, True, False)} <= outcomes
 
 
 def test_eval_known_values():
