@@ -30,18 +30,18 @@ shares it.  A key's id is its place in the window's diagram order
 unknown, and its targets are the unknown ids in order.  Every form, a
 denominator or a G_B, gets a form id; its data are the key ids of its
 distinct blocks, read by _row_plan's rows.  A carrier is compiled the first
-time a pass tries it, into its denominator's form id, appended to its
-target's flat array.  Its expansion, a key id and a form id per term of the
-shape's one _pivot_plan template, is compiled the first time its
-denominator does not vanish: most carriers of a stalled point fail on their
-denominator.  An attempt is then list indexing and multiplication, with no
-tuple built or hashed.  Sharing is sound because a plan holds no value:
-carriers are compiled in _carriers order and only as far as a pass has
-tried them, so a cold and a warm plan give the same attempts and results.
-A plan keeps a few ints per carrier tried and per form those name: 0.2 MB
-over the seven shapes of the benchmark's recover deck at one seed, 0.3 MB
-over the decks of ten seeds (tracemalloc, CPython 3.11).  The last 32
-shapes are kept.
+time a pass tries it, into the record [denominator's form id, expansion].
+Its expansion, a (sign, key id, form id) tuple per term of the shape's one
+_pivot_plan template, is None until the first time its denominator does not
+vanish: most carriers of a stalled point fail on their denominator.  An
+attempt is then list indexing and multiplication, with no key built or
+hashed.  Sharing is sound because a plan holds no value: carriers are
+compiled in _carriers order and only as far as a pass has tried them, so a
+cold and a warm plan give the same attempts and results.  A plan keeps a
+short list per carrier tried and a tuple per expansion and per form those
+name: after two passes, 0.24 MB over the seven shapes of the benchmark's
+recover deck at seed 1, 0.53 MB at seed 11 and 0.78 MB over the decks of
+seeds 1-10 (tracemalloc, CPython 3.11).  The last 32 shapes are kept.
 
 A pass reads each form once, so carriers that share a G_B or a
 denominator share its reading: settled keeps its value by form id, zero
@@ -68,11 +68,9 @@ descending order and each reversed, come out ordered by their largest
 extra label, then the next largest, and so on.
 """
 
-import bisect
 import itertools
 import math
 from _thread import allocate_lock
-from array import array
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -85,6 +83,7 @@ from .indices import (
     GoodParams,
     Window,
     _diagram,
+    is_good,
     plain_int,
 )
 from .multivector import Multivector, _decode, _encode, _mask, _reduced
@@ -138,10 +137,7 @@ def good_projection(v: Multivector, params: GoodParams) -> CoordinateAssignment:
 
     Inputs of grade other than the window grade have no good coordinates
     at all (the co-finite extension is unbalanced), so they project to the
-    empty assignment.  A size-p key always omits as many positive labels as
-    it has negative members, so only the two depth counts decide: the keys
-    ascend, so a second deep negative is key[1], and the positive members
-    at or above the deep gap threshold form a tail of the key.
+    empty assignment.
     """
     params = GoodParams(*params)
     window = v.window
@@ -155,15 +151,12 @@ def good_projection(v: Multivector, params: GoodParams) -> CoordinateAssignment:
 
 @lru_cache(maxsize=32)
 def _good_masks(window: Window, params: GoodParams) -> tuple:
-    """The masks of the window's good size-p keys, as good_projection judges them."""
-    p = window.p
-    low = max(params.deep_positive, 1)
-    deep_gaps = max(p + 1 - low, 0)
+    """The masks of the window's good size-p keys, each judged by is_good."""
+    positives = range(1, window.p + 1)
     return tuple(
         _mask(window, key)
-        for key in itertools.combinations(window.elements(), p)
-        if not (p > 1 and key[1] <= params.deep_negative)
-        and deep_gaps - (p - bisect.bisect_left(key, low)) <= 1
+        for key in itertools.combinations(window.elements(), window.p)
+        if is_good([i for i in key if i < 0], [j for j in positives if j not in key], params)
     )
 
 
@@ -185,21 +178,20 @@ def _read(plan, table, form: int, settled: dict, blocked: dict):
     return value
 
 
-def _forced(plan, table, carriers, at: int, settled: dict, blocked: dict):
-    """x_target = -Q/D on the carrier compiled at carriers[at:], an int when D divides -Q.
+def _forced(plan, table, target: int, carrier: list, settled: dict, blocked: dict):
+    """x_target = -Q/D on the target's compiled carrier, an int when D divides -Q.
 
     None when a form needs an unknown coordinate or D vanishes; settled and
     blocked are only sound while the table grows without overwrites.
     """
-    denominator = _read(plan, table, carriers[at], settled, blocked)
+    denominator = _read(plan, table, carrier[0], settled, blocked)
     if not denominator:
         return None
-    start = carriers[at + 1]
-    if start < 0:
-        start = plan.expand(carriers, at)
-    entries = iter(plan.expansions[start:start + 2 * len(plan.signs)])
+    expansion = carrier[1]
+    if expansion is None:
+        expansion = plan.expand(target, carrier)
     numerator = 0
-    for sign, key, form in zip(plan.signs, entries, entries):
+    for sign, key, form in expansion:
         factor = table[key]
         if factor == 0:
             continue
@@ -246,44 +238,40 @@ def _carriers(larger, room: int):
 
 @lru_cache(maxsize=16)
 def _key_order(window: Window):
-    """The window's size-p keys in diagram order; the id (place there) of each key and each mask."""
+    """The window's size-p keys in diagram order, and the id (place there) of each key's mask."""
     keys = tuple(sorted(itertools.combinations(window.elements(), window.p), key=_diagram_order))
-    ids = {key: i for i, key in enumerate(keys)}
-    return keys, ids, {_mask(window, key): i for key, i in ids.items()}
+    return keys, {_mask(window, key): i for i, key in enumerate(keys)}
 
 
 class _Plan:
     """The compiled recovery structure of one shape (window, m, l); it holds no value.
 
-    keys, ids and slots (the id of each key's mask) come from _key_order.
-    A form is named by the masks of its members and of its tail, which
-    joins every block; form_of finds its id, and forms and rows hold by id
-    its blocks' key ids and its _row_plan rows.  carriers holds, per target
-    key id, the compiled carriers in _carriers order, width apart: each is
-    its denominator's form id, then where its expansion starts in
-    expansions, or ~(target id) until that is compiled, the first time the
-    denominator does not vanish.  An expansion is, per term of pivot, its
-    block's key id and its sub-form's id; signs holds the terms' signs.
-    Compiling takes the lock, so passes in several threads may share a plan.
+    keys and slots (the id of each key's mask) come from _key_order.  A
+    form is named by the masks of its members and of its tail, which joins
+    every block; form_of finds its id, and forms and rows hold by id its
+    blocks' key ids, a tuple, and its _row_plan rows.  carriers holds, per
+    target key id, the compiled carriers in _carriers order: each is the
+    list [denominator's form id, expansion], the expansion None until the
+    denominator first does not vanish.  An expansion is a (sign, block key
+    id, sub-form id) tuple per term of pivot, built whole and then stored in
+    one assignment, so a pass reading without the lock sees None or all of
+    it.  Compiling takes the lock, so passes in several threads may share a
+    plan.
     """
 
-    __slots__ = ("window", "m", "gap", "room", "keys", "ids", "slots", "above", "pivot", "signs",
-                 "form_of", "forms", "rows", "expansions", "carriers", "lock")
-    width = 2
+    __slots__ = ("window", "m", "gap", "room", "keys", "slots", "above", "pivot",
+                 "form_of", "forms", "rows", "carriers", "lock")
 
     def __init__(self, window: Window, m: int, l: int):
         self.window, self.m, self.gap, self.room = window, m, window.p - m, m * l
-        self.keys, self.ids, self.slots = _key_order(window)
+        self.keys, self.slots = _key_order(window)
         labels = window.elements()
         self.above = {x: labels[k + 1:] for k, x in enumerate(labels)}
         # the carrier form along the target's lowest label, less the x_I * D term
-        template = _pivot_plan(m + self.room, m, 1)[1:]
-        self.pivot = [(_splice(block, m, self.gap), _getter([q - 1 for q in rest]))
-                      for block, rest, _ in template]
-        self.signs = [sign for _, _, sign in template]
+        self.pivot = [(sign, _splice(block, m, self.gap), _getter([q - 1 for q in rest]))
+                      for block, rest, sign in _pivot_plan(m + self.room, m, 1)[1:]]
         self.form_of, self.forms, self.rows = {}, [], []
-        self.expansions = array("i")
-        self.carriers = [array("i") for _ in self.keys]
+        self.carriers = [[] for _ in self.keys]
         self.lock = allocate_lock()
 
     def form(self, tail, members) -> int:
@@ -295,48 +283,40 @@ class _Plan:
             getters, rows = _row_plan(len(members), self.m, len(tail))
             labels = tail + members
             form = self.form_of[name] = len(self.forms)
-            self.forms.append(array("i", [slots[_mask(window, get(labels))] for get in getters]))
+            self.forms.append(tuple(slots[_mask(window, get(labels))] for get in getters))
             self.rows.append(rows)
         return form
 
-    def expand(self, carriers, at: int) -> int:
-        """Where the expansion of the carrier at carriers[at:] starts; compiled on first use."""
+    def expand(self, target: int, carrier: list) -> tuple:
+        """The expansion of the target's carrier; compiled on first use."""
         with self.lock:
-            if carriers[at + 1] < 0:
-                target = self.keys[~carriers[at + 1]]
-                head, tail = target[:self.m], target[self.m:]
+            if carrier[1] is None:
+                key = self.keys[target]
+                head, tail = key[:self.m], key[self.m:]
                 # each label of a denominator that does not vanish is in a block
-                blocks = self.forms[carriers[at]]
-                extra = tuple(sorted({x for key in blocks for x in self.keys[key]}.difference(tail)))
+                blocks = self.forms[carrier[0]]
+                extra = tuple(sorted({x for k in blocks for x in self.keys[k]}.difference(tail)))
                 spliced, members = head + tail + extra, head + extra
-                entries = []
-                for block, rest in self.pivot:
-                    entries += self.ids[block(spliced)], self.form(tail, rest(members))
-                # readers skip the lock: publish the offset after the entries
-                start = len(self.expansions)
-                self.expansions.extend(entries)
-                carriers[at + 1] = start
-            return carriers[at + 1]
-
-    def compile(self, target, extra) -> list:
-        """The carrier target + extra: its denominator's form id, then ~(target id)."""
-        return [self.form(target[self.m:], extra), ~self.ids[target]]
+                window, slots = self.window, self.slots
+                carrier[1] = tuple(
+                    (sign, slots[_mask(window, block(spliced))], self.form(tail, rest(members)))
+                    for sign, block, rest in self.pivot
+                )
+            return carrier[1]
 
     def tried(self, target: int):
-        """Offsets of the target's carriers in _carriers order, each compiled on first use."""
-        done, width = self.carriers[target], self.width
-        at = 0
+        """The target's carriers in _carriers order, each compiled on first use."""
+        done, at = self.carriers[target], 0
         while at < len(done):
-            yield at
-            at += width
+            yield done[at]
+            at += 1
         key = self.keys[target]
-        untried = itertools.islice(_carriers(self.above[key[-1]], self.room), at // width, None)
-        for extra in untried:
+        for extra in itertools.islice(_carriers(self.above[key[-1]], self.room), at, None):
             with self.lock:
                 if len(done) == at:
-                    done.extend(self.compile(key, extra))
-            yield at
-            at += width
+                    done.append([self.form(key[self.m:], extra), None])
+            yield done[at]
+            at += 1
 
 
 @lru_cache(maxsize=32)
@@ -374,16 +354,16 @@ def reconstruct_all(
     targets = [t for t, value in enumerate(table) if value is None]
     settled, blocked = {}, {}
     attempts = 0
-    for tgt in targets:
-        carriers, tried = plan.carriers[tgt], plan.tried(tgt)
+    for target in targets:
+        tried = plan.tried(target)
         while attempts != budget:
-            at = next(tried, None)
-            if at is None:
+            carrier = next(tried, None)
+            if carrier is None:
                 break
             attempts += 1
-            found = _forced(plan, table, carriers, at, settled, blocked)
+            found = _forced(plan, table, target, carrier, settled, blocked)
             if found is not None:
-                table[tgt] = found
+                table[target] = found
                 break
         if attempts == budget:
             break

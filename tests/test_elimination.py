@@ -2,7 +2,6 @@
 import math
 import random
 import sys
-from array import array
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -22,7 +21,7 @@ from hyperwedge.indices import (
     young_diagram,
 )
 from hyperwedge.varieties import in_pf
-from hyperwedge.multivector import Multivector, wedge
+from hyperwedge.multivector import Multivector, _mask, wedge
 from hyperwedge.polynomials import (
     WedgePolynomial,
     poly_add,
@@ -130,15 +129,15 @@ def test_carrier_polynomial_splits_with_a_tail():
 # ------------------------------------------------------- single coordinate
 
 def compiled_carrier(m, l, window, known, target, extra):
-    """The shape's plan, the known values as its table, and the carrier target + extra compiled.
+    """The shape's plan, the known values as its table, the target's id and the carrier compiled.
 
-    A compiled carrier is its denominator's form id, then ~(target id):
-    _forced compiles the carrier's pivot expansion in its place, the first
-    time the denominator does not vanish.
+    A compiled carrier is [its denominator's form id, None]: _forced
+    compiles the carrier's pivot expansion in place of None, the first time
+    the denominator does not vanish.
     """
     plan = elimination._plan(window, m, l)
     table = [known.get(key) for key in plan.keys]
-    return plan, table, plan.compile(target, extra)
+    return plan, table, plan.keys.index(target), [plan.form(target[m:], extra), None]
 
 
 def forced(m, l, assignment, target, carrier):
@@ -148,8 +147,8 @@ def forced(m, l, assignment, target, carrier):
     """
     assert len(carrier) == len(target) + m * l
     extra = carrier[len(target):]
-    plan, table, compiled = compiled_carrier(m, l, assignment.window, assignment.known, target, extra)
-    return elimination._forced(plan, table, compiled, 0, {}, {})
+    plan, table, at, compiled = compiled_carrier(m, l, assignment.window, assignment.known, target, extra)
+    return elimination._forced(plan, table, at, compiled, {}, {})
 
 
 def test_reconstruct_matches_true_coefficient_across_carriers():
@@ -175,21 +174,21 @@ def test_reconstruct_signals_zero_denominator_on_decomposables():
     w = Window(4, 2)
     v = rank_sample(rng, w, 1)
     extra = (-2, -1, 1, 2)
-    plan, table, carrier = compiled_carrier(2, 2, w, full_assignment(v, PAIR).known, (-4, -3), extra)
+    plan, table, at, carrier = compiled_carrier(2, 2, w, full_assignment(v, PAIR).known, (-4, -3), extra)
     # the denominator's form id names the form on the extra labels
     denominator = carrier[0]
     assert sorted(plan.keys[k] for k in plan.forms[denominator]) == list(combinations(extra, 2))
     settled = {}
-    assert elimination._forced(plan, table, carrier, 0, settled, {}) is None
+    assert elimination._forced(plan, table, at, carrier, settled, {}) is None
     # a zero denominator is kept, which tells it apart from missing coordinates
     assert settled == {denominator: 0}
 
 
 def test_reconstruct_reports_missing_prerequisites():
     w = Window(4, 2)
-    plan, table, carrier = compiled_carrier(2, 2, w, {}, (-4, -3), (-2, -1, 1, 2))
+    plan, table, at, carrier = compiled_carrier(2, 2, w, {}, (-4, -3), (-2, -1, 1, 2))
     settled, blocked = {}, {}
-    assert elimination._forced(plan, table, carrier, 0, settled, blocked) is None
+    assert elimination._forced(plan, table, at, carrier, settled, blocked) is None
     assert settled == {}
     assert list(blocked) == [carrier[0]]
 
@@ -533,7 +532,7 @@ class PositiveTable:
     """
 
     def __init__(self, m, l, p, length, known):
-        window = Window(length - p, p)
+        self.window = window = Window(length - p, p)
         self.name = dict(zip(range(1, length + 1), window.elements()))
         self.plan = elimination._plan(window, m, l)
         self.table = [None] * len(self.plan.keys)
@@ -542,18 +541,20 @@ class PositiveTable:
         self.settled, self.blocked = {}, {}
 
     def key_id(self, key):
-        return self.plan.ids[tuple(self.name[x] for x in key)]
+        return self.plan.slots[_mask(self.window, tuple(self.name[x] for x in key))]
 
     def learn(self, key, value):
         self.table[self.key_id(key)] = value
 
     def compile(self, target, extra):
+        """The carrier target + extra as a fresh record: [denominator's form id, None]."""
         rename = lambda labels: tuple(self.name[x] for x in labels)
-        return self.plan.compile(rename(target), rename(extra))
+        return [self.plan.form(rename(target[self.plan.m:]), rename(extra)), None]
 
     def forced(self, target, extra):
         carrier = self.compile(target, extra)
-        return elimination._forced(self.plan, self.table, carrier, 0, self.settled, self.blocked)
+        at = self.key_id(target)
+        return elimination._forced(self.plan, self.table, at, carrier, self.settled, self.blocked)
 
 
 # m = 4 stops at l = 2: its l = 3 numerator has 2,627,625 rows, too many for
@@ -621,11 +622,12 @@ def test_compiled_expansion_is_the_pivot_expansion_with_the_tail():
         head, tail = labels[:m], labels[m:p]
         plan = elimination._plan(window, m, l)
         for extra in (labels[p:-1], labels[p + 1:]):
-            start = plan.expand(plan.compile(head + tail, extra), 0)
-            entries = plan.expansions[start:start + 2 * len(plan.signs)]
+            carrier = [plan.form(tail, extra), None]
+            expansion = plan.expand(plan.keys.index(head + tail), carrier)
+            assert carrier[1] is expansion
             compiled = [
                 (sign, plan.keys[key], compiled_form_terms(plan, form))
-                for sign, key, form in zip(plan.signs, entries[::2], entries[1::2])
+                for sign, key, form in expansion
             ]
             rows = filtration_expansion(m, l, head + extra, head[0])
             assert rows[0][:2] == (1, head)
@@ -984,9 +986,9 @@ def test_plans_compile_only_the_carriers_tried(monkeypatch):
     tried = []
     forced_value = elimination._forced
 
-    def spy(plan, table, carriers, at, settled, blocked):
-        tried.append(carriers)
-        return forced_value(plan, table, carriers, at, settled, blocked)
+    def spy(plan, table, target, carrier, settled, blocked):
+        tried.append(carrier)
+        return forced_value(plan, table, target, carrier, settled, blocked)
 
     monkeypatch.setattr(elimination, "_forced", spy)
     rng = random.Random(146)
@@ -999,39 +1001,37 @@ def test_plans_compile_only_the_carriers_tried(monkeypatch):
         attempts = oracle_reconstruct_all(2, 2, projected).first_pass_attempts
         for budget in (attempts // 2, None, None):
             tried.clear()
-            compiled = [len(done) // plan.width for done in plan.carriers], len(plan.forms)
+            compiled = list(map(len, plan.carriers)), len(plan.forms)
             result = reconstruct_all(2, 2, projected, budget)
             assert len(tried) == result.attempts
-            per_target = [sum(c is done for c in tried) for done in plan.carriers]
-            assert [len(done) // plan.width for done in plan.carriers] == per_target
+            # the carriers tried, per target, are exactly those compiled, in order
+            for done in plan.carriers:
+                assert [c for c in tried if any(c is d for d in done)] == done
         # the repeated pass
-        assert ([len(done) // plan.width for done in plan.carriers], len(plan.forms)) == compiled
-        assert sum(map(len, plan.carriers)) == attempts * plan.width
+        assert (list(map(len, plan.carriers)), len(plan.forms)) == compiled
+        assert sum(map(len, plan.carriers)) == attempts
         # one plane: every denominator vanishes, so no expansion is compiled
-        expanded = [start for done in plan.carriers for start in done[1::plan.width] if start >= 0]
-        assert (not expanded and not plan.expansions) == (planes == 1)
+        expanded = [c for done in plan.carriers for c in done if c[1] is not None]
+        assert (not expanded) == (planes == 1)
 
 
 def decoded_carriers(plan):
     """Each target's compiled carriers as key tuples: the same whatever order compiled them.
 
     A carrier decodes to its denominator's blocks, then its expansion's
-    (block key, sub-form blocks) pairs, or None where none is compiled.
+    (sign, block key, sub-form blocks) terms, or None where none is compiled.
     """
-    keys, size = plan.keys, 2 * len(plan.signs)
+    keys = plan.keys
 
-    def expansion(start):
-        if start < 0:
+    def expansion(terms):
+        if terms is None:
             return None
-        entries = plan.expansions[start:start + size]
-        return tuple((keys[key], tuple(keys[k] for k in plan.forms[form]))
-                     for key, form in zip(entries[::2], entries[1::2]))
+        return tuple((sign, keys[key], tuple(keys[k] for k in plan.forms[form]))
+                     for sign, key, form in terms)
 
     return [
-        [
-            (tuple(keys[k] for k in plan.forms[done[at]]), expansion(done[at + 1]))
-            for at in range(0, len(done), plan.width)
-        ]
+        [(tuple(keys[k] for k in plan.forms[denominator]), expansion(terms))
+         for denominator, terms in done]
         for done in plan.carriers
     ]
 
@@ -1039,7 +1039,8 @@ def decoded_carriers(plan):
 def test_threads_share_one_plan():
     # passes in eight threads compile one plan with a tiny switch interval;
     # a carrier compiled twice or lost would shift the order and so change
-    # attempts, results or the compiled carriers
+    # attempts, results or the compiled carriers, and a pass reading without
+    # the lock sees an expansion as None or whole
     rng = random.Random(147)
     window = Window(8, 2)
     points = [good_projection(rank_sample(rng, window, planes), PAIR) for planes in (2, 1, 2, 1)]
@@ -1056,25 +1057,12 @@ def test_threads_share_one_plan():
     finally:
         sys.setswitchinterval(interval)
     assert results == expected * 4
-    assert decoded_carriers(elimination._plan(window, 2, 2)) == compiled
-
-
-def test_expansion_offsets_are_published_after_their_entries():
-    # passes read a carrier's expansion offset without the lock, so no
-    # offset may point at entries that are not stored yet
-    cold_plans()
-    window = Window(8, 2)
     plan = elimination._plan(window, 2, 2)
-
-    class Checked(array):
-        def extend(self, entries):
-            assert all(len(self) not in done[1::plan.width] for done in plan.carriers)
-            super().extend(entries)
-
-    plan.expansions = Checked("i")
-    v = rank_sample(random.Random(148), window, 2)
-    assert reconstruct_all(2, 2, good_projection(v, PAIR)).completed == v
-    assert plan.expansions
+    assert decoded_carriers(plan) == compiled
+    expansions = [terms for done in plan.carriers for _, terms in done]
+    assert any(expansions)
+    assert all(terms is None or type(terms) is tuple and len(terms) == len(plan.pivot)
+               for terms in expansions)
 
 
 def test_lazy_carriers_follow_the_sorted_shallow_first_order():
